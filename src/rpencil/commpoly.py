@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .scalars import Scalar, scalar
+from .scalars import ONE, ZERO, scalar
 
 
 class GeneratorError(Exception):
@@ -45,7 +45,7 @@ class Poly:
             raise GeneratorError(f"unknown generator {name!r}")
         i = generators.index(name)
         monom = tuple(1 if j == i else 0 for j in range(len(generators)))
-        return Poly(generators, {monom: scalar(1)})
+        return Poly(generators, {monom: ONE})
 
     @staticmethod
     def monomial(generators, exponents, coeff=1) -> "Poly":
@@ -63,7 +63,7 @@ class Poly:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Scalar(0)) + c
+            s = terms.get(m, ZERO) + c
             if s:
                 terms[m] = s
             else:

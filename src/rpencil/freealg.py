@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .commpoly import GeneratorError
-from .scalars import Scalar, scalar
+from .scalars import ONE, ZERO, Scalar, scalar
 
 
 def deglex_key(word):
@@ -35,10 +35,10 @@ class FreeElement:
         generators = tuple(generators)
         if name not in generators:
             raise GeneratorError(f"unknown generator {name!r}")
-        return FreeElement(generators, {(generators.index(name),): scalar(1)})
+        return FreeElement(generators, {(generators.index(name),): ONE})
 
     @staticmethod
-    def word(generators, indices, coeff=1) -> "FreeElement":
+    def word(generators, indices, coeff=ONE) -> "FreeElement":
         return FreeElement(tuple(generators), {tuple(indices): scalar(coeff)})
 
     # -- arithmetic --------------------------------------------------------
@@ -51,7 +51,7 @@ class FreeElement:
         self._check(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = terms.get(w, Scalar(0)) + c
+            s = terms.get(w, ZERO) + c
             if s:
                 terms[w] = s
             else:

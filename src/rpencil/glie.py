@@ -16,7 +16,7 @@ from .freealg import FreeElement
 from .linalg import Mat, SubspaceBasis, annihilator, intersect, kernel
 from .quadratic import QuadraticPresentation, jhq
 from .rmatrix import BraidOperator, eigen_split, flip_operator, hecke_s, s_w
-from .scalars import ONE, Scalar, scalar
+from .scalars import ONE, ZERO, Scalar, scalar
 
 
 class SplittingError(Exception):
@@ -143,7 +143,7 @@ def _partial_brackets(g: GeneralizedLieBracket, w: dict):
     lin: dict = {}
 
     def acc(store, idx, val):
-        s = store.get(idx, Scalar(0)) + val
+        s = store.get(idx, ZERO) + val
         if s:
             store[idx] = s
         else:
@@ -188,7 +188,7 @@ def check_axiom8(g: GeneralizedLieBracket):
         quad, lin = _partial_brackets(g, w)
         total = g.bracket(quad)
         for idx, c in lin.items():
-            s = total.get(idx, Scalar(0)) + c
+            s = total.get(idx, ZERO) + c
             if s:
                 total[idx] = s
             else:

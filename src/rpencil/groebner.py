@@ -8,11 +8,11 @@ This is the engine behind all flatness and PBW dimension counts.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 from .commpoly import GeneratorError
 from .freealg import FreeElement, deglex_key
-from .scalars import Scalar
 
 
 class IdealCollapse(Exception):
@@ -62,8 +62,8 @@ def _reduce(f: FreeElement, rules: dict, max_len=None) -> FreeElement:
         w, pos, lw = target
         c = f.terms[w]
         rule = rules[lw]
-        prefix = FreeElement.word(f.generators, w[:pos], 1)
-        suffix = FreeElement.word(f.generators, w[pos + len(lw):], 1)
+        prefix = FreeElement.word(f.generators, w[:pos])
+        suffix = FreeElement.word(f.generators, w[pos + len(lw):])
         f = f - c * (prefix * rule * suffix)
 
 
@@ -98,11 +98,20 @@ def complete(relations, degree_bound: int, flag: str = None) -> NcIdeal:
             else "filtered"
         )
 
+    # Pop order: smallest leading word under deglex first, and among equal
+    # leading words the most recently queued.  Degree-truncated filtered
+    # completions depend on it, so any other tie rule can change dimensions.
     rules: dict = {}
-    queue = list(relations)
+    queue: list = []
+    counter = itertools.count()
+
+    def push(g):
+        heapq.heappush(queue, (deglex_key(g.leading_word()), -next(counter), g))
+
+    for r in relations:
+        push(r)
     while queue:
-        queue.sort(key=lambda g: deglex_key(g.leading_word()), reverse=True)
-        f = _reduce(queue.pop(), rules)
+        f = _reduce(heapq.heappop(queue)[2], rules)
         if not f:
             continue
         f = f.monic()
@@ -111,23 +120,23 @@ def complete(relations, degree_bound: int, flag: str = None) -> NcIdeal:
             raise IdealCollapse("ideal collapses: completion produced a nonzero constant")
         # re-queue any existing rule whose leading word contains the new one
         for old in [w for w in rules if _contains(w, lw)]:
-            queue.append(rules.pop(old))
+            push(rules.pop(old))
         # reduce tails of the remaining rules against the enlarged system
         trial = dict(rules)
         trial[lw] = f
         for w in list(rules):
-            tail = rules[w] - FreeElement.word(generators, w, 1)
+            tail = rules[w] - FreeElement.word(generators, w)
             red = _reduce(tail, trial)
-            rules[w] = FreeElement.word(generators, w, 1) + red
+            rules[w] = FreeElement.word(generators, w) + red
             trial[w] = rules[w]
         rules[lw] = f
         # resolve overlaps involving the new rule, degree-bounded
         for other_lw, other in list(rules.items()):
             for s_elem in _overlap_elements(f, other, degree_bound):
-                queue.append(s_elem)
+                push(s_elem)
             if other_lw != lw:
                 for s_elem in _overlap_elements(other, f, degree_bound):
-                    queue.append(s_elem)
+                    push(s_elem)
     return NcIdeal(generators, relations, degree_bound, flag, rules)
 
 
@@ -148,8 +157,8 @@ def _overlap_elements(g1: FreeElement, g2: FreeElement, bound: int):
         total = len(w1) + len(w2) - k
         if total > bound:
             continue
-        suffix = FreeElement.word(generators, w2[k:], 1)
-        prefix = FreeElement.word(generators, w1[:len(w1) - k], 1)
+        suffix = FreeElement.word(generators, w2[k:])
+        prefix = FreeElement.word(generators, w1[:len(w1) - k])
         s_elem = g1 * suffix - prefix * g2
         if s_elem:
             out.append(s_elem)

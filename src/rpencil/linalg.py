@@ -7,7 +7,7 @@ representations.
 
 from __future__ import annotations
 
-from .scalars import ONE, Scalar, scalar
+from .scalars import ONE, ZERO, Scalar, scalar
 
 
 class DimensionMismatch(Exception):
@@ -42,7 +42,7 @@ class Mat:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i].get(j, Scalar(0))
+        return self.rows[i].get(j, ZERO)
 
     def set(self, i: int, j: int, value) -> None:
         value = scalar(value)
@@ -52,7 +52,7 @@ class Mat:
             self.rows[i].pop(j, None)
 
     def add_to(self, i: int, j: int, value) -> None:
-        self.set(i, j, self.rows[i].get(j, Scalar(0)) + value)
+        self.set(i, j, self.rows[i].get(j, ZERO) + value)
 
     def copy(self) -> "Mat":
         return Mat(self.nrows, self.ncols, [dict(r) for r in self.rows])
@@ -200,7 +200,7 @@ def rref(rows, ncols):
                 for j, v in row.items():
                     if j == piv:
                         continue
-                    newv = merged.get(j, Scalar(0)) - c * v
+                    newv = merged.get(j, ZERO) - c * v
                     if newv:
                         merged[j] = newv
                     else:
@@ -226,7 +226,7 @@ def _reduce_row(row: dict, basis: dict) -> dict:
         for j, v in basis[hit].items():
             if j == hit:
                 continue
-            newv = row.get(j, Scalar(0)) - c * v
+            newv = row.get(j, ZERO) - c * v
             if newv:
                 row[j] = newv
             else:

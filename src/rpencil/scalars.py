@@ -2,22 +2,33 @@
 
 Every quantity in the package is a Scalar, i.e. a quotient of integer
 polynomials in the formal parameters q, h and lam.  Representations are
-canonical (numerator and denominator coprime, denominator with positive
-leading coefficient under deglex with q < h < lam), so equality of Scalars
-is equality of representations.
+canonical, so equality of Scalars is equality of representations:
+
+- a value free of the parameters is always held as a ``fractions.Fraction``
+  (constant <=> Fraction), so it hashes like the equal int or Fraction and
+  its arithmetic never reaches sympy;
+- any other value is held as an element of sympy's ``ZZ(q,h,lam)`` with
+  numerator and denominator coprime and the denominator's leading
+  coefficient positive under lex order with q > h > lam.
+
+An operation that mixes a constant with a parametric value cancels only
+integer contents, never a polynomial gcd; a parametric result that cancels
+to a constant (``Q/Q``) is demoted back to a Fraction.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import gcd
 
-import sympy
 from sympy import ZZ
 from sympy.polys.fields import field
 
 PARAMETERS = ("q", "h", "lam")
 
 _FIELD, _Q, _H, _LAM = field(",".join(PARAMETERS), ZZ)
+_RING = _FIELD.ring
 _GENS = {"q": _Q, "h": _H, "lam": _LAM}
 _FRAC_ELEMENT = type(_Q)
 
@@ -37,20 +48,66 @@ class PoleError(ScalarError):
     """A specialization made a denominator vanish."""
 
 
-def _coercible(value) -> bool:
-    return isinstance(value, (Scalar, int, Fraction, _FRAC_ELEMENT))
-
-
-def _coerce_frac_element(value):
+def _operand(value):
+    """Internal value of an arithmetic operand, or None if it is not one."""
     if isinstance(value, Scalar):
         return value._f
-    if isinstance(value, int):
-        return _FIELD(value)
-    if isinstance(value, Fraction):
-        return _FIELD(value.numerator) / _FIELD(value.denominator)
-    if isinstance(value, _FRAC_ELEMENT):
+    if isinstance(value, (int, Fraction)):
         return value
-    raise TypeError(f"cannot build a Scalar from {type(value).__name__}")
+    return None
+
+
+def _demote(f):
+    """Canonical internal value of a canonical field element."""
+    numer, denom = f.numer, f.denom
+    if numer.is_ground and denom.is_ground:
+        return Fraction(int(numer.LC), int(denom.LC))
+    return f
+
+
+def _mul_ground(f, c):
+    """c*f for a parametric f and a nonzero rational c.
+
+    f's numerator and denominator are coprime, so the only common factor of
+    c.numerator*numer and c.denominator*denom is an integer.
+    """
+    a, b = c.numerator, c.denominator
+    numer, denom = f.numer, f.denom
+    g = gcd(a, denom.content())
+    h = gcd(b, numer.content())
+    return f.raw_new(
+        numer.quo_ground(h).mul_ground(a // g), denom.quo_ground(g).mul_ground(b // h)
+    )
+
+
+def _add_ground(f, c):
+    """f + c for a parametric f and a rational c.
+
+    numer*b + denom*a shares no polynomial factor with denom*b, because
+    numer and denom are coprime; only an integer can cancel.
+    """
+    a, b = c.numerator, c.denominator
+    numer, denom = f.numer, f.denom
+    if b == 1:
+        return f.raw_new(numer + denom.mul_ground(a), denom)
+    top = numer.mul_ground(b) + denom.mul_ground(a)
+    bottom = denom.mul_ground(b)
+    g = gcd(top.content(), b * denom.content())
+    return f.raw_new(top.quo_ground(g), bottom.quo_ground(g))
+
+
+def _inverse(f):
+    """1/f for a parametric f, with the sign moved to the numerator."""
+    numer, denom = f.numer, f.denom
+    if numer.LC < 0:
+        return f.raw_new(-denom, -numer)
+    return f.raw_new(denom, numer)
+
+
+def _new(f) -> "Scalar":
+    s = object.__new__(Scalar)
+    _SET_F(s, f)
+    return s
 
 
 class Scalar:
@@ -59,7 +116,17 @@ class Scalar:
     __slots__ = ("_f",)
 
     def __init__(self, value=0):
-        object.__setattr__(self, "_f", _coerce_frac_element(value))
+        if isinstance(value, Scalar):
+            f = value._f
+        elif isinstance(value, Fraction):
+            f = value
+        elif isinstance(value, int):
+            f = Fraction(value)
+        elif isinstance(value, _FRAC_ELEMENT):
+            f = _demote(value)
+        else:
+            raise TypeError(f"cannot build a Scalar from {type(value).__name__}")
+        _SET_F(self, f)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -70,18 +137,20 @@ class Scalar:
     def parameter(name: str) -> "Scalar":
         if name not in _GENS:
             raise ScalarError(f"unknown parameter {name!r}; expected one of {PARAMETERS}")
-        return Scalar(_GENS[name])
+        return _new(_GENS[name])
 
     @staticmethod
     def parse(text: str) -> "Scalar":
-        """Parse a Scalar from its canonical string form."""
-        local = {n: sympy.Symbol(n) for n in PARAMETERS}
+        """Parse a Scalar from an arithmetic expression in q, h, lam.
+
+        Accepted: integer literals, the parameters, ``+ - * /``, ``**`` with
+        a non-negative integer literal exponent (at most _MAX_EXPONENT), and
+        parentheses.  Nothing is evaluated as Python.
+        """
         try:
-            expr = sympy.parse_expr(text, local_dict=local, evaluate=True)
-            f = _FIELD.from_expr(expr)
-        except Exception as exc:
-            raise ScalarError(f"cannot parse scalar {text!r}: {exc}") from None
-        return Scalar(f)
+            return _new(_Parser(text).parse())
+        except RecursionError:
+            raise ScalarError(f"cannot parse scalar {text!r}: nested too deeply") from None
 
     @staticmethod
     def parse_canonical(text: str) -> "Scalar":
@@ -96,49 +165,89 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if not _coercible(other):
+        g = _operand(other)
+        if g is None:
             return NotImplemented
-        return Scalar(self._f + _coerce_frac_element(other))
+        f = self._f
+        if isinstance(f, _FRAC_ELEMENT):
+            if isinstance(g, _FRAC_ELEMENT):
+                return _new(_demote(f + g))
+            return _new(_add_ground(f, g)) if g else self
+        if isinstance(g, _FRAC_ELEMENT):
+            return _new(_add_ground(g, f)) if f else other
+        return _new(f + g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not _coercible(other):
+        g = _operand(other)
+        if g is None:
             return NotImplemented
-        return Scalar(self._f - _coerce_frac_element(other))
+        f = self._f
+        if isinstance(f, _FRAC_ELEMENT):
+            if isinstance(g, _FRAC_ELEMENT):
+                return _new(_demote(f - g))
+            return _new(_add_ground(f, -g)) if g else self
+        if isinstance(g, _FRAC_ELEMENT):
+            return _new(_add_ground(-g, f))
+        return _new(f - g)
 
     def __rsub__(self, other):
-        if not _coercible(other):
+        g = _operand(other)
+        if g is None:
             return NotImplemented
-        return Scalar(_coerce_frac_element(other) - self._f)
+        return Scalar(g) - self
 
     def __mul__(self, other):
-        if not _coercible(other):
+        g = _operand(other)
+        if g is None:
             return NotImplemented
-        return Scalar(self._f * _coerce_frac_element(other))
+        f = self._f
+        if isinstance(f, _FRAC_ELEMENT):
+            if isinstance(g, _FRAC_ELEMENT):
+                return _new(_demote(f * g))
+            return _new(_mul_ground(f, g)) if g else ZERO
+        if isinstance(g, _FRAC_ELEMENT):
+            return _new(_mul_ground(g, f)) if f else ZERO
+        return _new(f * g)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        g = _coerce_frac_element(other)
+        g = _operand(other)
+        if g is None:
+            return NotImplemented
         if not g:
             raise DivisionByZero("division by zero Scalar")
-        return Scalar(self._f / g)
+        f = self._f
+        if isinstance(g, _FRAC_ELEMENT):
+            if isinstance(f, _FRAC_ELEMENT):
+                return _new(_demote(f / g))
+            return _new(_mul_ground(_inverse(g), f)) if f else ZERO
+        if isinstance(f, _FRAC_ELEMENT):
+            return _new(_mul_ground(f, 1 / Fraction(g)))
+        return _new(f / g)
 
     def __rtruediv__(self, other):
-        if not self._f:
-            raise DivisionByZero("division by zero Scalar")
-        return Scalar(_coerce_frac_element(other) / self._f)
+        g = _operand(other)
+        if g is None:
+            return NotImplemented
+        return Scalar(g) / self
 
     def __neg__(self):
-        return Scalar(-self._f)
+        return _new(-self._f)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("Scalar powers must be integers")
-        if n < 0 and not self._f:
-            raise DivisionByZero("negative power of zero Scalar")
-        return Scalar(self._f**n)
+        f = self._f
+        if n < 0:
+            if not f:
+                raise DivisionByZero("negative power of zero Scalar")
+            f, n = (_inverse(f) if isinstance(f, _FRAC_ELEMENT) else 1 / f), -n
+        if n == 0:
+            return ONE
+        return _new(f**n)
 
     # -- predicates --------------------------------------------------------
 
@@ -149,12 +258,22 @@ class Scalar:
         return bool(self._f)
 
     def __eq__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self._f == _coerce_frac_element(other)
-        return NotImplemented
+        if isinstance(other, Scalar):
+            other = other._f
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        f = self._f
+        if isinstance(f, _FRAC_ELEMENT):
+            return isinstance(other, _FRAC_ELEMENT) and f == other
+        return not isinstance(other, _FRAC_ELEMENT) and f == other
 
     def __hash__(self):
-        return hash(self._f)
+        f = self._f
+        if isinstance(f, _FRAC_ELEMENT):
+            # Not hash(f): sympy caches a polynomial's hash, and some of its
+            # routines (PolyElement.square) mutate a polynomial after hashing it.
+            return hash((frozenset(f.numer.items()), frozenset(f.denom.items())))
+        return hash(f)
 
     # -- structure ---------------------------------------------------------
 
@@ -164,50 +283,53 @@ class Scalar:
         Unassigned parameters survive.  Raises PoleError if the denominator
         vanishes at the assignment.
         """
-        images = []
-        for name in PARAMETERS:
-            if name in assignment:
-                images.append(_coerce_frac_element(_as_scalar(assignment[name])))
-            else:
-                images.append(_GENS[name])
-        num = _eval_poly(self._f.numer, images)
-        den = _eval_poly(self._f.denom, images)
+        f = self._f
+        if not isinstance(f, _FRAC_ELEMENT):
+            return self
+        images = [
+            _as_scalar(assignment[name]) if name in assignment else _new(_GENS[name])
+            for name in PARAMETERS
+        ]
+        num = _eval_poly(f.numer, images)
+        den = _eval_poly(f.denom, images)
         if not den:
             named = ", ".join(f"{k}={assignment[k]}" for k in PARAMETERS if k in assignment)
             raise PoleError(f"denominator of {self} vanishes at {named}")
-        return Scalar(num / den)
+        return num / den
 
     def coefficient_of(self, name: str, power: int) -> "Scalar":
         """Coefficient of name**power, valid when the denominator is free of name."""
         idx = PARAMETERS.index(name)
-        for monom, _ in self._f.denom.terms():
+        f = self._f
+        if not isinstance(f, _FRAC_ELEMENT):
+            return self if power == 0 else ZERO
+        for monom, _ in f.denom.terms():
             if monom[idx]:
                 raise ScalarError(f"denominator of {self} involves {name}")
-        ring = self._f.numer.ring
-        num = ring.zero
-        for monom, coeff in self._f.numer.terms():
+        num = _RING.zero
+        for monom, coeff in f.numer.terms():
             if monom[idx] == power:
                 reduced = list(monom)
                 reduced[idx] = 0
-                num += ring.from_terms([(tuple(reduced), coeff)])
-        return Scalar(_FIELD.new(num, self._f.denom))
+                num += _RING.from_terms([(tuple(reduced), coeff)])
+        return _new(_demote(_FIELD.new(num, f.denom)))
 
     def depends_on(self, name: str) -> bool:
         idx = PARAMETERS.index(name)
+        f = self._f
+        if not isinstance(f, _FRAC_ELEMENT):
+            return False
         return any(
             monom[idx]
-            for poly in (self._f.numer, self._f.denom)
+            for poly in (f.numer, f.denom)
             for monom, _ in poly.terms()
         )
 
     def as_fraction(self) -> Fraction:
         """Value as an exact rational; requires a constant Scalar."""
-        for name in PARAMETERS:
-            if self.depends_on(name):
-                raise ScalarError(f"{self} is not constant")
-        num = self._f.numer.coeff(1)
-        den = self._f.denom.coeff(1)
-        return Fraction(int(num), int(den))
+        if isinstance(self._f, _FRAC_ELEMENT):
+            raise ScalarError(f"{self} is not constant")
+        return self._f
 
     def __str__(self):
         return str(self._f)
@@ -216,19 +338,134 @@ class Scalar:
         return f"Scalar({self._f})"
 
 
+_SET_F = Scalar._f.__set__
+
+
 def _as_scalar(value) -> Scalar:
     return value if isinstance(value, Scalar) else Scalar(value)
 
 
 def _eval_poly(poly, images):
-    out = _FIELD.zero
+    out = ZERO
     for monom, coeff in poly.terms():
-        term = _FIELD(coeff)
+        term = _new(Fraction(int(coeff)))
         for img, exp in zip(images, monom):
             if exp:
                 term *= img**exp
         out += term
     return out
+
+
+# -- parser ---------------------------------------------------------------
+
+#: largest exponent Scalar.parse accepts; canonical forms in this package
+#: stay far below it, and it bounds the work an untrusted file can request
+_MAX_EXPONENT = 100
+
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\*\*|[-+*/()]))", re.ASCII)
+
+
+class _Parser:
+    """Recursive descent over Python's precedence for + - * / ** and unary sign.
+
+    Every subexpression is an unreduced pair (numerator, denominator) of
+    integer polynomials; the final value is cancelled once.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = []
+        text = text.rstrip()
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN.match(text, pos)
+            if m is None:
+                self.fail(f"unexpected character {text[pos:].lstrip()[:1]!r}")
+            number, name, op = m.groups()
+            if name is not None and name not in _GENS:
+                self.fail(f"unknown name {name!r}")
+            self.tokens.append(number or name or op)
+            pos = m.end()
+        self.pos = 0
+
+    def fail(self, reason: str):
+        raise ScalarError(f"cannot parse scalar {self.text!r}: {reason}")
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            self.fail("unexpected end of input")
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        num, den = self.sum()
+        if self.peek() is not None:
+            self.fail(f"unexpected {self.peek()!r}")
+        if num.is_ground and den.is_ground:
+            return Fraction(int(num.LC), int(den.LC))
+        return _demote(_FIELD.new(num, den))
+
+    def sum(self):
+        num, den = self.product()
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            n2, d2 = self.product()
+            if den != d2:
+                num, n2, den = num * d2, n2 * den, den * d2
+            num = num + n2 if op == "+" else num - n2
+        return num, den
+
+    def product(self):
+        num, den = self.unary()
+        while self.peek() in ("*", "/"):
+            op = self.take()
+            n2, d2 = self.unary()
+            if op == "*":
+                num, den = num * n2, den * d2
+            elif not n2:
+                self.fail("division by zero")
+            else:
+                num, den = num * d2, den * n2
+        return num, den
+
+    def unary(self):
+        if self.peek() in ("+", "-"):
+            sign = self.take()
+            num, den = self.unary()
+            return (-num if sign == "-" else num), den
+        return self.power()
+
+    def power(self):
+        num, den = self.atom()
+        if self.peek() == "**":
+            self.take()
+            exp = self.take()
+            if not exp.isdigit() or len(exp) > 3 or int(exp) > _MAX_EXPONENT:
+                self.fail(f"exponent must be an integer literal from 0 to {_MAX_EXPONENT}")
+            exp = int(exp)
+            # 0**0 is 1, as in Python; sympy's polynomials raise on it
+            num, den = (num**exp, den**exp) if exp else (_RING.one, _RING.one)
+        return num, den
+
+    def atom(self):
+        tok = self.take()
+        if tok == "(":
+            value = self.sum()
+            if self.take() != ")":
+                self.fail("expected ')'")
+            return value
+        if tok in _GENS:
+            return _GENS[tok].numer, _RING.one
+        if tok.isdigit():
+            try:
+                return _RING.ground_new(int(tok)), _RING.one
+            except ValueError:
+                self.fail("integer literal too long")
+        self.fail(f"unexpected {tok!r}")
 
 
 ZERO = Scalar(0)

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpencil.scalars import (
+    _FIELD,
     DEFAULT_ASSIGNMENT,
     DivisionByZero,
     H,
     LAM,
     ONE,
+    PARAMETERS,
     PoleError,
     Q,
     Scalar,
@@ -61,6 +63,54 @@ def test_parse_and_canonical():
 def test_str_round_trip():
     for s in (Q, H, LAM, Q / H, (Q - 1) / (H + 2), scalar(Fraction(-3, 7))):
         assert Scalar.parse_canonical(str(s)) == s
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(-q**3*h - q**2*h + q*h + h)/(q**4 + 2*q**2 + 1)",
+        "-q*h/(q**2 + 1)",
+        "-2*lam**2/(3*q*h - 1)",
+        "-3/7",
+        "0",
+    ],
+)
+def test_parse_canonical_accepts_printed_forms(text):
+    assert str(Scalar.parse_canonical(text)) == text
+
+
+def test_parse_follows_python_precedence():
+    assert Scalar.parse("-2**2") == -4
+    assert Scalar.parse("(-q)**2") == Q * Q
+    assert Scalar.parse("2*q**3/4 - -h") == Q**3 / 2 + H
+    assert Scalar.parse("q**0 + (q - q)**0") == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "x",
+        "q.numer",
+        "1e3",
+        "1.5",
+        "q**-1",
+        "q**h",
+        "q**101",
+        "q**" + "9" * 5000,
+        "9" * 5000,
+        "2**3**2",
+        "(q",
+        "q)",
+        "q/(h - h)",
+        "lam lam",
+        "\u0663",
+        "(" * 5000 + "q" + ")" * 5000,
+    ],
+)
+def test_parse_rejects(text):
+    with pytest.raises(ScalarError):
+        Scalar.parse(text)
 
 
 def test_specialize():
@@ -127,3 +177,112 @@ def test_specialization_is_homomorphic(x):
     assert (x * y).specialize(DEFAULT_ASSIGNMENT) == x.specialize(
         DEFAULT_ASSIGNMENT
     ) * y.specialize(DEFAULT_ASSIGNMENT)
+
+
+# -- the two representations: constants as Fraction, the rest in the field --
+
+_rationals = st.fractions(max_denominator=50).filter(lambda x: abs(x) < 1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(), _rationals))
+def test_hash_matches_int_and_fraction(x):
+    s = Scalar(x)
+    assert s == x
+    assert hash(s) == hash(x)
+    assert str(s) == str(Fraction(x))
+
+
+@st.composite
+def mixed_scalars(draw):
+    """A constant, a polynomial or a rational function, each with small coefficients."""
+    c = scalar(draw(_rationals))
+    kind = draw(st.sampled_from(["const", "poly", "ratio"]))
+    if kind == "const":
+        return c
+    p = c + draw(_small) * Q * H + draw(_small) * LAM
+    if kind == "poly" or not p:
+        return p
+    den = Q * draw(st.integers(min_value=1, max_value=3)) + draw(_small)
+    return p / den
+
+
+def _field(s):
+    """s in sympy's ZZ(q,h,lam), the one representation the seed used."""
+    f = s._f
+    if isinstance(f, Fraction):
+        return _FIELD(f.numerator) / _FIELD(f.denominator)
+    return f
+
+
+def _same(fast, reference):
+    expected = Scalar(reference)
+    assert fast == expected
+    assert str(fast) == str(expected)
+    assert hash(fast) == hash(expected)
+    constant = not any(fast.depends_on(name) for name in PARAMETERS)
+    assert isinstance(fast._f, Fraction) == constant
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_scalars(), mixed_scalars(), st.integers(min_value=-3, max_value=3))
+def test_fast_path_agrees_with_field(x, y, n):
+    fx, fy = _field(x), _field(y)
+    _same(x + y, fx + fy)
+    _same(x - y, fx - fy)
+    _same(x * y, fx * fy)
+    _same(-x, -fx)
+    if y:
+        _same(x / y, fx / fy)
+    if x or n > 0:
+        _same(x**n, fx**n if n >= 0 else _FIELD.one / fx ** (-n))
+    for k in (0, 3, Fraction(-2, 5)):
+        _same(x + k, fx + _field(scalar(k)))
+        _same(k - x, _field(scalar(k)) - fx)
+        _same(x * k, fx * _field(scalar(k)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_scalars())
+def test_parse_canonical_round_trip(x):
+    back = Scalar.parse_canonical(str(x))
+    assert back == x
+    assert hash(back) == hash(x)
+
+
+def test_hash_of_equal_parametric_values():
+    x = Q * H + LAM
+    assert x**2 == x * x
+    assert hash(x**2) == hash(x * x)
+
+
+def test_cancellation_demotes_to_fraction():
+    for value, expected in [
+        (Q / Q, 1),
+        ((Q + 1) - Q, 1),
+        ((Q * H - 1) / (2 * Q * H - 2), Fraction(1, 2)),
+        (Q * H - H * Q, 0),
+        (((Q + 1) / 3).coefficient_of("q", 0), Fraction(1, 3)),
+        (((Q + H) / 3).specialize({"q": 1, "h": 2}), 1),
+    ]:
+        assert isinstance(value._f, Fraction)
+        assert value == expected and hash(value) == hash(expected)
+        assert value == Fraction(expected)
+
+
+def test_constant_methods():
+    c = scalar(Fraction(-3, 7))
+    assert c.specialize(DEFAULT_ASSIGNMENT) == c
+    assert c.coefficient_of("q", 0) == c
+    assert c.coefficient_of("q", 1) == 0
+    assert not c.depends_on("lam")
+    assert c.as_fraction() == Fraction(-3, 7)
+    assert c**-2 == Fraction(49, 9)
+    assert ZERO**0 == Q**0 == 1
+    assert repr(c) == "Scalar(-3/7)"
+
+
+def test_negative_power_is_canonical():
+    assert (-Q) ** -1 == -1 / Q
+    assert str((-Q) ** -1) == "-1/q"
+    assert (1 / (-Q)) ** -1 == -Q

@@ -46,6 +46,19 @@ def test_non_canonical_scalar_rejected():
     assert "2/4" in str(err.value)
 
 
+def test_scalar_entry_is_never_evaluated(tmp_path):
+    target = tmp_path / "pwned"
+    data = serialize.to_data(hecke_s(2))
+    key = sorted(data["payload"]["matrix"]["entries"])[0]
+    data["payload"]["matrix"]["entries"][key] = (
+        f'__import__("pathlib").Path({str(target)!r}).touch() or 1'
+    )
+    with pytest.raises(FormatError) as err:
+        serialize.from_data(data)
+    assert "entries" in str(err.value)
+    assert not target.exists()
+
+
 def test_missing_field_names_path():
     data = serialize.to_data(hecke_s(2))
     del data["payload"]["dim"]
