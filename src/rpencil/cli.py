@@ -1,13 +1,15 @@
 """Command-line front end: run verification suites, validate presentation files.
 
 Exit codes: 0 when every check passes, 1 when a mathematical check fails,
-2 for usage or file-format errors.
+2 for usage, file-format or I/O errors (including an unwritable ``--out``
+path, which is detected before anything is printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import serialize
@@ -50,12 +52,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _write_atomic(path, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it into place."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def main(argv=None) -> int:
@@ -79,7 +86,15 @@ def main(argv=None) -> int:
     except SuiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(report, args.out)
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if args.out:
+        try:
+            _write_atomic(args.out, text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
+            return EXIT_USAGE
+    sys.stdout.write(text)
     return EXIT_PASS if report["verdict"] == "pass" else EXIT_CHECK_FAILED
 
 

@@ -19,6 +19,14 @@ class FreeElement:
         self.generators = tuple(generators)
         self.terms = {} if terms is None else {w: c for w, c in terms.items() if c}
 
+    @classmethod
+    def _raw(cls, generators: tuple, terms: dict) -> "FreeElement":
+        """Wrap terms that are already nonzero, without re-filtering them."""
+        self = object.__new__(cls)
+        self.generators = generators
+        self.terms = terms
+        return self
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -56,13 +64,13 @@ class FreeElement:
                 terms[w] = s
             else:
                 terms.pop(w, None)
-        return FreeElement(self.generators, terms)
+        return FreeElement._raw(self.generators, terms)
 
     def __sub__(self, other: "FreeElement") -> "FreeElement":
         return self + (-other)
 
     def __neg__(self) -> "FreeElement":
-        return FreeElement(self.generators, {w: -c for w, c in self.terms.items()})
+        return FreeElement._raw(self.generators, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, FreeElement):
@@ -107,7 +115,7 @@ class FreeElement:
 
     def monic(self) -> "FreeElement":
         lc = self.leading_coeff()
-        return FreeElement(self.generators, {w: c / lc for w, c in self.terms.items()})
+        return FreeElement._raw(self.generators, {w: c / lc for w, c in self.terms.items()})
 
     def homogeneous_part(self, degree: int) -> "FreeElement":
         return FreeElement(

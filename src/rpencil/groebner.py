@@ -4,6 +4,17 @@ Relations are rewritten into a system of monic rules (leading word under
 deglex maps to smaller terms); overlaps between leading words are resolved
 by increasing degree until every word of length <= D reduces uniquely.
 This is the engine behind all flatness and PBW dimension counts.
+
+Reduction strategy (``_reduce``): rewrite the largest reducible word first;
+within it, the leftmost occurrence of a leading word, and among leading
+words starting there the longest.  Each rewrite replaces a word by strictly
+smaller ones, so the words are swept once in descending deglex order and a
+word found irreducible is final.
+
+Invariant of ``complete``: every rule tail is irreducible with respect to
+the current leading words.  Adding a rule with leading word ``lw`` can only
+make a tail reducible where one of its words contains ``lw``, so only those
+tails are re-reduced.
 """
 
 from __future__ import annotations
@@ -35,10 +46,6 @@ class NcIdeal:
         self.flag = flag
         self.rules = rules  # leading word -> monic FreeElement
 
-    @property
-    def completed_basis(self):
-        return sorted(self.rules.values(), key=lambda g: deglex_key(g.leading_word()))
-
     def specialize(self, assignment: dict) -> "NcIdeal":
         return complete(
             [r.specialize(assignment) for r in self.relations],
@@ -47,24 +54,50 @@ class NcIdeal:
         )
 
 
-def _reduce(f: FreeElement, rules: dict, max_len=None) -> FreeElement:
-    """Normal form of f with respect to the rules (deterministic strategy)."""
-    lengths = sorted({len(w) for w in rules}, reverse=True) if rules else []
-    while True:
-        target = None
-        for w in sorted(f.terms, key=deglex_key, reverse=True):
-            hit = _find_redex(w, rules, lengths)
-            if hit is not None:
-                target = (w, *hit)
-                break
-        if target is None:
-            return f
-        w, pos, lw = target
-        c = f.terms[w]
-        rule = rules[lw]
-        prefix = FreeElement.word(f.generators, w[:pos])
-        suffix = FreeElement.word(f.generators, w[pos + len(lw):])
-        f = f - c * (prefix * rule * suffix)
+def _lengths(rules) -> list:
+    """Distinct leading-word lengths, longest first (the redex search order)."""
+    return sorted({len(w) for w in rules}, reverse=True)
+
+
+def _reduce(f: FreeElement, rules: dict, lengths: list) -> FreeElement:
+    """Normal form of f with respect to the rules (deterministic strategy).
+
+    ``lengths`` is ``_lengths(rules)``.  Returns f itself when no word of f
+    is reducible.
+    """
+    terms = f.terms
+    if not any(_find_redex(w, rules, lengths) for w in terms):
+        return f
+    work = dict(terms)
+    heap = [(-len(w), tuple(-i for i in w), w) for w in work]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        w = heapq.heappop(heap)[2]
+        c = work.pop(w, None)
+        if c is None:  # cancelled, or a stale duplicate entry
+            continue
+        hit = _find_redex(w, rules, lengths)
+        if hit is None:
+            out[w] = c
+            continue
+        pos, lw = hit
+        prefix, suffix = w[:pos], w[pos + len(lw):]
+        for tw, tc in rules[lw].terms.items():
+            if tw == lw:
+                continue
+            nw = prefix + tw + suffix
+            prev = work.get(nw)
+            if prev is None:
+                work[nw] = -(c * tc)
+                heapq.heappush(heap, (-len(nw), tuple(-i for i in nw), nw))
+            else:
+                s = prev - c * tc
+                if s:
+                    work[nw] = s
+                else:
+                    del work[nw]
+    return FreeElement._raw(f.generators, out)
 
 
 def _find_redex(word, rules, lengths):
@@ -110,8 +143,9 @@ def complete(relations, degree_bound: int, flag: str = None) -> NcIdeal:
 
     for r in relations:
         push(r)
+    lengths: list = []
     while queue:
-        f = _reduce(heapq.heappop(queue)[2], rules)
+        f = _reduce(heapq.heappop(queue)[2], rules, lengths)
         if not f:
             continue
         f = f.monic()
@@ -121,35 +155,38 @@ def complete(relations, degree_bound: int, flag: str = None) -> NcIdeal:
         # re-queue any existing rule whose leading word contains the new one
         for old in [w for w in rules if _contains(w, lw)]:
             push(rules.pop(old))
-        # reduce tails of the remaining rules against the enlarged system
-        trial = dict(rules)
-        trial[lw] = f
-        for w in list(rules):
-            tail = rules[w] - FreeElement.word(generators, w)
-            red = _reduce(tail, trial)
-            rules[w] = FreeElement.word(generators, w) + red
-            trial[w] = rules[w]
+        # lw is irreducible, so it is not a key yet and goes last in the order
         rules[lw] = f
+        lengths = _lengths(rules)
+        # re-reduce the tails that the new leading word makes reducible
+        for w, g in list(rules.items()):
+            if w != lw and any(_contains(tw, lw) for tw in g.terms):
+                head = FreeElement.word(generators, w)
+                rules[w] = head + _reduce(g - head, rules, lengths)
         # resolve overlaps involving the new rule, degree-bounded
         for other_lw, other in list(rules.items()):
-            for s_elem in _overlap_elements(f, other, degree_bound):
+            for s_elem in _overlap_elements(lw, f, other_lw, other, degree_bound):
                 push(s_elem)
             if other_lw != lw:
-                for s_elem in _overlap_elements(other, f, degree_bound):
+                for s_elem in _overlap_elements(other_lw, other, lw, f, degree_bound):
                     push(s_elem)
     return NcIdeal(generators, relations, degree_bound, flag, rules)
 
 
 def _contains(word, sub):
     k = len(sub)
-    return any(word[i:i + k] == sub for i in range(len(word) - k + 1))
+    for i in range(len(word) - k + 1):
+        if word[i:i + k] == sub:
+            return True
+    return False
 
 
-def _overlap_elements(g1: FreeElement, g2: FreeElement, bound: int):
-    """S-elements from proper overlaps (suffix of lw1 = prefix of lw2)."""
+def _overlap_elements(w1, g1: FreeElement, w2, g2: FreeElement, bound: int):
+    """S-elements from proper overlaps (suffix of w1 = prefix of w2).
+
+    w1 and w2 are the leading words of g1 and g2.
+    """
     generators = g1.generators
-    w1 = g1.leading_word()
-    w2 = g2.leading_word()
     out = []
     for k in range(1, min(len(w1), len(w2))):
         if w1[len(w1) - k:] != w2[:k]:
@@ -171,13 +208,13 @@ def normal_form(ideal: NcIdeal, f: FreeElement) -> FreeElement:
             f"degree {f.degree()} exceeds completion bound {ideal.degree_bound}; "
             "recomplete with a larger bound"
         )
-    return _reduce(f, ideal.rules)
+    return _reduce(f, ideal.rules, _lengths(ideal.rules))
 
 
 def _irreducible_words(ideal: NcIdeal, length: int):
     n = len(ideal.generators)
-    lengths = sorted({len(w) for w in ideal.rules}, reverse=True)
     rules = ideal.rules
+    lengths = _lengths(rules)
     for word in itertools.product(range(n), repeat=length):
         if _find_redex(word, rules, lengths) is None:
             yield word

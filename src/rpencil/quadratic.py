@@ -183,13 +183,19 @@ def lambda_substitute(p: QuadraticPresentation, lam=LAM) -> QuadraticPresentatio
     return QuadraticPresentation(gens, tuple(out), flag)
 
 
-def certify_flat_graded(p: QuadraticPresentation, degree: int) -> dict:
-    """Compare graded dimensions with the commutative monomial count."""
+def certify_flat_graded(
+    p: QuadraticPresentation, degree: int, ideal: NcIdeal = None
+) -> dict:
+    """Compare graded dimensions with the commutative monomial count.
+
+    ``ideal``, if given, is ``p.to_ideal(degree)`` completed by the caller.
+    """
     if degree < 2:
         raise ValueError("need degree >= 2")
     if p.flag != "graded":
         raise ValueError("graded certification needs a graded presentation")
-    ideal = p.to_ideal(degree)
+    if ideal is None:
+        ideal = p.to_ideal(degree)
     N = p.dim
     dims = [hilbert(ideal, k) for k in range(degree + 1)]
     expected = [comb(N + k - 1, k) for k in range(degree + 1)]
@@ -202,13 +208,21 @@ def certify_flat_graded(p: QuadraticPresentation, degree: int) -> dict:
 
 
 def certify_flat_filtered(
-    p: QuadraticPresentation, target: QuadraticPresentation, degree: int
+    p: QuadraticPresentation,
+    target: QuadraticPresentation,
+    degree: int,
+    graded_ideal: NcIdeal = None,
 ) -> dict:
-    """PBW comparison of a filtered presentation against its graded target."""
+    """PBW comparison of a filtered presentation against its graded target.
+
+    ``graded_ideal``, if given, is ``target.to_ideal(degree)`` completed by
+    the caller.
+    """
     if p.generators != target.generators:
         raise GeneratorError("presentations over different generator sets")
     filtered_ideal = p.to_ideal(degree)
-    graded_ideal = target.to_ideal(degree)
+    if graded_ideal is None:
+        graded_ideal = target.to_ideal(degree)
     ok, failing = pbw_check(filtered_ideal, graded_ideal, degree)
     dims = filtration_dims(filtered_ideal, degree)
     target_cumulative = []

@@ -234,11 +234,12 @@ def _suite_quantum_type2(n, degree, assign, rng, checks):
         filtered_run = filtered.specialize(assign)
     else:
         pres_run, filtered_run = pres, filtered
-    graded = _quadratic.certify_flat_graded(pres_run, degree)
+    graded_ideal = pres_run.to_ideal(degree)
+    graded = _quadratic.certify_flat_graded(pres_run, degree, graded_ideal)
     checks.add(
         "graded-flatness", graded["flat"], dims=graded["dims"], expected=graded["expected"]
     )
-    pbw = _quadratic.certify_flat_filtered(filtered_run, pres_run, degree)
+    pbw = _quadratic.certify_flat_filtered(filtered_run, pres_run, degree, graded_ideal)
     checks.add(
         "filtered-flatness-pbw",
         pbw["flat"],

@@ -26,6 +26,18 @@ def test_run_writes_out_file(tmp_path, capsys):
     assert json.loads(on_disk)["suite"] == "glie"
 
 
+def test_run_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = main(
+        ["run", "--suite", "pencil-type2", "--n", "2", "--mode", "fast", "--out", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing printed before the write failed
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_run_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
