@@ -22,9 +22,9 @@ from .poisson import (
     gl_bracket,
     lambda_linear_term,
     linearized,
-    mixed_jacobiator,
     pencil,
     rmatrix_bracket,
+    schouten_bracket,
     sd_quadratic,
 )
 from .rmatrix import (
@@ -53,7 +53,6 @@ from .groebner import (
     filtration_dims,
     hilbert,
     normal_form,
-    pbw_check,
 )
 from .quadratic import (
     ConsistencyError,

@@ -239,18 +239,3 @@ def filtration_dims(ideal: NcIdeal, p: int):
         total += sum(1 for _ in _irreducible_words(ideal, k))
         dims.append(total)
     return dims
-
-
-def pbw_check(filtered: NcIdeal, graded_target: NcIdeal, p: int):
-    """(ok, first failing degree or None): filtered dims vs cumulative graded dims."""
-    if filtered.generators != graded_target.generators:
-        raise GeneratorError("ideals over different generator sets")
-    if p > filtered.degree_bound or p > graded_target.degree_bound:
-        raise DegreeBoundExceeded("degree exceeds a completion bound")
-    dims = filtration_dims(filtered, p)
-    total = 0
-    for k in range(p + 1):
-        total += hilbert(graded_target, k)
-        if dims[k] != total:
-            return False, k
-    return True, None

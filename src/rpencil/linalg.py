@@ -95,13 +95,16 @@ class Mat:
 
     def apply(self, vec: dict) -> dict:
         """Matrix times sparse column vector (dict index -> Scalar)."""
-        acc: dict = {}
-        cols = self.transpose().rows
-        for j, x in vec.items():
-            for i, a in cols[j].items():
-                prev = acc.get(i)
-                acc[i] = a * x if prev is None else prev + a * x
-        return {i: v for i, v in acc.items() if v}
+        out: dict = {}
+        for i, row in enumerate(self.rows):
+            acc = None
+            for j, a in row.items():
+                x = vec.get(j)
+                if x is not None:
+                    acc = a * x if acc is None else acc + a * x
+            if acc:
+                out[i] = acc
+        return out
 
     def transpose(self) -> "Mat":
         out = Mat(self.ncols, self.nrows)

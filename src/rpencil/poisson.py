@@ -5,6 +5,13 @@ arbitrary polynomials is the Leibniz extension
 
     {f, g} = sum_{i<j} t_ij (d_i f d_j g - d_j f d_i g).
 
+Jacobi and compatibility are read from the Schouten bracket of two tables,
+
+    [P1,P2]_ijk = sum_{cyclic (i,j,k)} sum_l (P2_il d_l P1_jk + P1_il d_l P2_jk):
+
+``is_poisson`` tests [P,P] = 0 and ``are_compatible`` tests [P1,P2] = 0, each
+naming the first nonzero component i<j<k as its witness.
+
 Builders cover the quadratic matrix bracket, its linearization, the gl(n)
 Poisson-Lie bracket, constant symplectic brackets and brackets induced by
 an antisymmetric tensor acting through linear vector fields.
@@ -13,6 +20,7 @@ an antisymmetric tensor acting through linear vector fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .commpoly import GeneratorError, Poly
 from .linalg import DimensionMismatch, Mat, SubspaceBasis
@@ -87,27 +95,9 @@ class PoissonStructure:
             out = out + t * (dfs[i] * dgs[j] - dfs[j] * dgs[i])
         return out
 
-    def jacobiator(self, f: Poly, g: Poly, h: Poly) -> Poly:
-        return (
-            self.bracket(f, self.bracket(g, h))
-            + self.bracket(g, self.bracket(h, f))
-            + self.bracket(h, self.bracket(f, g))
-        )
-
     def is_poisson(self):
         """(True, None) or (False, witness generator-name triple)."""
-        gens = [Poly.generator(self.generators, name) for name in self.generators]
-        n = len(gens)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    if self.jacobiator(gens[i], gens[j], gens[k]):
-                        return False, (
-                            self.generators[i],
-                            self.generators[j],
-                            self.generators[k],
-                        )
-        return True, None
+        return _verdict(self.generators, schouten_bracket(self, self))
 
     def scale(self, c) -> "PoissonStructure":
         c = scalar(c)
@@ -140,31 +130,55 @@ class PoissonStructure:
             raise GeneratorError("generator mismatch between Poisson structures")
 
 
-def mixed_jacobiator(
-    p1: PoissonStructure, p2: PoissonStructure, f: Poly, g: Poly, h: Poly
-) -> Poly:
+def schouten_bracket(p1: PoissonStructure, p2: PoissonStructure) -> dict:
+    """The nonzero components {(i, j, k): Poly}, i<j<k, of [P1, P2].
+
+    Keys come in lexicographic order.  At generators the component is the
+    mixed Jacobiator {x_i,{x_j,x_k}_1}_2 + {x_i,{x_j,x_k}_2}_1 + cyclic, so
+    [P, P] is twice the Jacobiator of P.
+    """
     p1._check(p2)
-    out = Poly.zero(p1.generators)
-    for x, y, z in ((f, g, h), (g, h, f), (h, f, g)):
-        out = out + p2.bracket(x, p1.bracket(y, z)) + p1.bracket(x, p2.bracket(y, z))
+    gens = p1.generators
+    zero = Poly.zero(gens)
+
+    def rows(p):
+        out = [{} for _ in gens]
+        for (i, j), t in p.table.items():
+            out[i][j] = t
+            out[j][i] = -t
+        return out
+
+    def derive(row, f):
+        """{x_i, f} = sum_l P_il d_l f, for the row P_i of x_i."""
+        out = zero
+        for l, t in row.items():
+            df = f.diff(l)
+            if df:
+                out = out + t * df
+        return out
+
+    rows1, rows2 = rows(p1), rows(p2)
+    out = {}
+    for i, j, k in combinations(range(len(gens)), 3):
+        acc = zero
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            acc = (acc + derive(rows2[x], rows1[y].get(z, zero))
+                   + derive(rows1[x], rows2[y].get(z, zero)))
+        if acc:
+            out[(i, j, k)] = acc
     return out
+
+
+def _verdict(generators, components: dict):
+    """(True, None) if no component is nonzero, else (False, first key's names)."""
+    for key in components:
+        return False, tuple(generators[i] for i in key)
+    return True, None
 
 
 def are_compatible(p1: PoissonStructure, p2: PoissonStructure):
     """(True, None) or (False, witness generator-name triple)."""
-    p1._check(p2)
-    gens = [Poly.generator(p1.generators, name) for name in p1.generators]
-    n = len(gens)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if mixed_jacobiator(p1, p2, gens[i], gens[j], gens[k]):
-                    return False, (
-                        p1.generators[i],
-                        p1.generators[j],
-                        p1.generators[k],
-                    )
-    return True, None
+    return _verdict(p1.generators, schouten_bracket(p1, p2))
 
 
 def pencil(p1: PoissonStructure, p2: PoissonStructure, a, b) -> PoissonStructure:

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .commpoly import GeneratorError
 from .freealg import FreeElement
-from .groebner import NcIdeal, complete, filtration_dims, hilbert, normal_form, pbw_check
+from .groebner import NcIdeal, complete, filtration_dims, hilbert, normal_form
 from .linalg import SubspaceBasis
-from .poisson import matrix_generators
+from .poisson import _pair_case, matrix_generators
 from .rmatrix import eigen_split, hecke_s, s_w
 from .scalars import H, LAM, ONE, Q, Scalar, scalar
 
@@ -90,14 +91,15 @@ def _pair_relations(n: int, with_lower: bool):
         for v in range(u + 1, N):
             r1, c1 = divmod(u, n)
             r2, c2 = divmod(v, n)
-            if r1 == r2 or c1 == c2:
+            case = _pair_case(r1, c1, r2, c2)
+            if case in ("row", "column"):
                 rel = word(u, v) - Q * word(v, u)
                 if with_lower:
                     if delta(u):
                         rel = rel - H * lin(v)
                     if delta(v):
                         rel = rel - H * lin(u)
-            elif r1 < r2 and c1 < c2:
+            elif case == "diagonal":
                 w1 = r2 * n + c1  # a_k^j
                 w2 = r1 * n + c2  # a_i^l
                 rel = word(u, v) - word(v, u) - qm * word(w1, w2)
@@ -223,17 +225,13 @@ def certify_flat_filtered(
     filtered_ideal = p.to_ideal(degree)
     if graded_ideal is None:
         graded_ideal = target.to_ideal(degree)
-    ok, failing = pbw_check(filtered_ideal, graded_ideal, degree)
     dims = filtration_dims(filtered_ideal, degree)
-    target_cumulative = []
-    total = 0
-    for k in range(degree + 1):
-        total += hilbert(graded_ideal, k)
-        target_cumulative.append(total)
+    expected = list(accumulate(hilbert(graded_ideal, k) for k in range(degree + 1)))
+    failing = next((k for k, (a, b) in enumerate(zip(dims, expected)) if a != b), None)
     return {
         "dims": dims,
-        "expected": target_cumulative,
-        "flat": ok,
+        "expected": expected,
+        "flat": failing is None,
         "first_failing_degree": failing,
         "degree": degree,
     }

@@ -188,8 +188,8 @@ def _suite_pencil_type2(n, degree, assign, rng, checks):
     sd2 = _poisson.sd_quadratic(2)
     ok, witness = _poisson.are_compatible(gl2, sd2)
     gens = gl2.generators
-    pa, pb, pd = (Poly.generator(gens, x) for x in ("a", "b", "d"))
-    printed_witness = _poisson.mixed_jacobiator(gl2, sd2, pa, pb, pd)
+    abd = tuple(gens.index(x) for x in ("a", "b", "d"))
+    printed_witness = _poisson.schouten_bracket(gl2, sd2).get(abd, Poly.zero(gens))
     checks.add(
         "gl-not-compatible",
         (not ok) and bool(printed_witness),

@@ -30,9 +30,9 @@ from rpencil.poisson import (
     gl_bracket,
     lambda_linear_term,
     linearized,
-    mixed_jacobiator,
     pencil,
     rmatrix_bracket,
+    schouten_bracket,
     sd_quadratic,
 )
 from rpencil.quadratic import (
@@ -104,9 +104,8 @@ def test_02_compatibility_and_pencils():
 def test_03_gl_non_compatibility():
     gl, sd = gl_bracket(2), sd_quadratic(2)
     compatible, _ = are_compatible(gl, sd)
-    gens = gl.generators
-    a, b, d = (Poly.generator(gens, x) for x in ("a", "b", "d"))
-    witness_value = mixed_jacobiator(gl, sd, a, b, d)
+    abd = tuple(gl.generators.index(x) for x in ("a", "b", "d"))
+    witness_value = schouten_bracket(gl, sd).get(abd, Poly.zero(gl.generators))
     _report(3, "gl bracket incompatible, witness (a,b,d)",
             (not compatible) and not witness_value.is_zero())
 

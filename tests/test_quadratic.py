@@ -63,6 +63,19 @@ def test_filtered_flatness():
     assert report["flat"]
 
 
+def test_filtered_flatness_failure():
+    # [x,y] = y, [y,z] = x, [z,x] = 0 breaks Jacobi, so x lies in the ideal
+    gens = ("x", "y", "z")
+    x, y, z = (FreeElement.generator(gens, g) for g in gens)
+    lie = QuadraticPresentation(gens, (x * y - y * x - y, y * z - z * y - x, z * x - x * z),
+                                "filtered")
+    plane = QuadraticPresentation(gens, (x * y - y * x, y * z - z * y, z * x - x * z), "graded")
+    report = certify_flat_filtered(lie, plane, 3)
+    assert report["dims"] == [1, 2, 3, 4]
+    assert report["expected"] == [1, 4, 10, 20]
+    assert not report["flat"] and report["first_failing_degree"] == 1
+
+
 def test_corrupted_relation_breaks_flatness():
     pres = a0q(2)
     broken = list(pres.relations)

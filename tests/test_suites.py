@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -85,3 +86,23 @@ def test_mode_agreement_n2():
         assert [(c["name"], c["pass"]) for c in exact["checks"]] == [
             (c["name"], c["pass"]) for c in fast["checks"]
         ]
+
+
+# sha256 of the report bytes as `rpencil run` prints them, at seed 0
+_PENCIL_REPORT_SHA256 = {
+    ("pencil-type1", 2, "exact"): "fdde73355fbef83e25b9ffa71c67ad74e2da9f40deac116e0e7b9251433a6f5d",
+    ("pencil-type1", 2, "fast"): "fe82764c5f15da1c792862a660375822c32e450cc7f744d450a24c094123fdb4",
+    ("pencil-type1", 3, "exact"): "036bbe5bb1185576afabc6da327aab57b8d1cc82a8d53d334d6f563df1048b0c",
+    ("pencil-type1", 3, "fast"): "bac18b85dcc396c70dd2492a3629352f87183a47fa294471d57b9d522826ef8e",
+    ("pencil-type2", 2, "exact"): "69687ee5bb5a561938465a80e08d8d143760983116f6140c86ef7fdfa5311b47",
+    ("pencil-type2", 2, "fast"): "48de8de4751fbf3fb500a2606ce69c229e8325f5f0b431d9ec4c2be74156fa80",
+    ("pencil-type2", 3, "exact"): "b0ec69f4708b6c6695b088fe6174733777bce98b93e02986ba2170b20a8619b9",
+    ("pencil-type2", 3, "fast"): "a78a29450e443d4a9ea8c0940b94e4890d0d340f41ddaccbcc9d3aeb6e49def7",
+}
+
+
+@pytest.mark.parametrize("suite,n,mode", sorted(_PENCIL_REPORT_SHA256))
+def test_pencil_report_bytes_pinned(suite, n, mode):
+    text = json.dumps(run_suite(suite, n, None, mode, 0), sort_keys=True, indent=2) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == _PENCIL_REPORT_SHA256[(suite, n, mode)]
