@@ -14,7 +14,15 @@ word found irreducible is final.
 Invariant of ``complete``: every rule tail is irreducible with respect to
 the current leading words.  Adding a rule with leading word ``lw`` can only
 make a tail reducible where one of its words contains ``lw``, so only those
-tails are re-reduced.
+tails are re-reduced.  ``complete`` keeps, for every rule, the set of
+subwords of its tail words, and looks ``lw`` up there.
+
+Overlaps: a proper overlap of ``w1`` with ``w2`` (a suffix of ``w1`` equal
+to a prefix of ``w2``) needs ``w2[0]`` in ``w1[1:]`` and ``w1[-1]`` in
+``w2[:-1]``.  ``complete`` tests the letters of the new leading word ``lw``
+against each rule, ``other[0] in lw[1:]`` with ``lw`` first and
+``other[-1] in lw[:-1]`` with ``lw`` second, and hands only the pairs that
+pass to ``_overlap_elements``, in the order of the rules.
 """
 
 from __future__ import annotations
@@ -144,6 +152,7 @@ def complete(relations, degree_bound: int, flag: str = None) -> NcIdeal:
     for r in relations:
         push(r)
     lengths: list = []
+    inner: dict = {}  # leading word -> subwords of the rule's tail words
     while queue:
         f = _reduce(heapq.heappop(queue)[2], rules, lengths)
         if not f:
@@ -152,25 +161,43 @@ def complete(relations, degree_bound: int, flag: str = None) -> NcIdeal:
         lw = f.leading_word()
         if not lw:
             raise IdealCollapse("ideal collapses: completion produced a nonzero constant")
-        # re-queue any existing rule whose leading word contains the new one
-        for old in [w for w in rules if _contains(w, lw)]:
+        # re-queue any existing rule whose leading word contains the new one;
+        # lw is irreducible, so no key equals it
+        for old in [w for w in rules if len(w) > len(lw) and _contains(w, lw)]:
             push(rules.pop(old))
-        # lw is irreducible, so it is not a key yet and goes last in the order
+            del inner[old]
+        # lw goes last in the order
         rules[lw] = f
+        inner[lw] = _subwords(f, lw)
         lengths = _lengths(rules)
         # re-reduce the tails that the new leading word makes reducible
         for w, g in list(rules.items()):
-            if w != lw and any(_contains(tw, lw) for tw in g.terms):
+            if lw in inner[w]:
                 head = FreeElement.word(generators, w)
-                rules[w] = head + _reduce(g - head, rules, lengths)
+                rules[w] = g = head + _reduce(g - head, rules, lengths)
+                inner[w] = _subwords(g, w)
         # resolve overlaps involving the new rule, degree-bounded
+        lw_later = set(lw[1:])  # letters that can start a word lw overlaps
+        lw_earlier = set(lw[:-1])  # letters that can end a word overlapping lw
         for other_lw, other in list(rules.items()):
-            for s_elem in _overlap_elements(lw, f, other_lw, other, degree_bound):
-                push(s_elem)
-            if other_lw != lw:
+            if other_lw[0] in lw_later:
+                for s_elem in _overlap_elements(lw, f, other_lw, other, degree_bound):
+                    push(s_elem)
+            if other_lw != lw and other_lw[-1] in lw_earlier:
                 for s_elem in _overlap_elements(other_lw, other, lw, f, degree_bound):
                     push(s_elem)
     return NcIdeal(generators, relations, degree_bound, flag, rules)
+
+
+def _subwords(g: FreeElement, lw) -> set:
+    """Every subword of the words of g other than its leading word lw."""
+    return {
+        w[i:j]
+        for w in g.terms
+        if w != lw
+        for i in range(len(w))
+        for j in range(i + 1, len(w) + 1)
+    }
 
 
 def _contains(word, sub):
@@ -182,23 +209,34 @@ def _contains(word, sub):
 
 
 def _overlap_elements(w1, g1: FreeElement, w2, g2: FreeElement, bound: int):
-    """S-elements from proper overlaps (suffix of w1 = prefix of w2).
+    """S-elements ``g1 * w2[k:] - w1[:-k] * g2`` from proper overlaps.
 
-    w1 and w2 are the leading words of g1 and g2.
+    w1 and w2 are the leading words of g1 and g2; a proper overlap is a
+    suffix of w1 of length k equal to a prefix of w2.  Terms come in the
+    order of g1's terms, then g2's new words, with zeros deleted.
     """
-    generators = g1.generators
     out = []
-    for k in range(1, min(len(w1), len(w2))):
-        if w1[len(w1) - k:] != w2[:k]:
+    n1 = len(w1)
+    for k in range(1, min(n1, len(w2))):
+        if w1[n1 - k:] != w2[:k]:
             continue
-        total = len(w1) + len(w2) - k
-        if total > bound:
+        if n1 + len(w2) - k > bound:
             continue
-        suffix = FreeElement.word(generators, w2[k:])
-        prefix = FreeElement.word(generators, w1[:len(w1) - k])
-        s_elem = g1 * suffix - prefix * g2
-        if s_elem:
-            out.append(s_elem)
+        suffix, prefix = w2[k:], w1[:n1 - k]
+        terms = {w + suffix: c for w, c in g1.terms.items()}
+        for w, c in g2.terms.items():
+            nw = prefix + w
+            prev = terms.get(nw)
+            if prev is None:
+                terms[nw] = -c
+            else:
+                s = prev - c
+                if s:
+                    terms[nw] = s
+                else:
+                    del terms[nw]
+        if terms:
+            out.append(FreeElement._raw(g1.generators, terms))
     return out
 
 

@@ -307,10 +307,6 @@ def image(m: Mat) -> SubspaceBasis:
     return SubspaceBasis(m.nrows, m.transpose().rows)
 
 
-def row_space(m: Mat) -> SubspaceBasis:
-    return SubspaceBasis(m.ncols, m.rows)
-
-
 def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     """Intersection of two subspaces (Zassenhaus block elimination)."""
     if a.ambient_dim != b.ambient_dim:

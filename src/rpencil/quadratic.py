@@ -59,14 +59,28 @@ class QuadraticPresentation:
 
 
 def same_ideal(p1: QuadraticPresentation, p2: QuadraticPresentation, degree: int = 3) -> bool:
-    """Mutual reduction of the defining relations up to the given degree."""
+    """Mutual reduction of the defining relations up to the given degree.
+
+    A relation of one presentation that is also a relation of the other lies
+    in the other's ideal as it stands, so only the remaining relations are
+    reduced, and a presentation is completed only when some relation of the
+    other needs its normal form.  With identical relation sets the ideals
+    are equal: the answer is True and nothing is completed, so no
+    ``IdealCollapse`` is raised.
+    """
     if p1.generators != p2.generators:
         raise GeneratorError("presentations over different generator sets")
-    i1 = p1.to_ideal(degree)
-    i2 = p2.to_ideal(degree)
-    return all(not normal_form(i2, r) for r in p1.relations) and all(
-        not normal_form(i1, r) for r in p2.relations
-    )
+    return _relations_in(p1, p2, degree) and _relations_in(p2, p1, degree)
+
+
+def _relations_in(p: QuadraticPresentation, target: QuadraticPresentation, degree: int) -> bool:
+    """Whether every relation of p reduces to zero modulo the ideal of target."""
+    known = set(target.relations)
+    rest = [r for r in p.relations if r not in known]
+    if not rest:
+        return True
+    ideal = target.to_ideal(degree)
+    return all(not normal_form(ideal, r) for r in rest)
 
 
 def _pair_relations(n: int, with_lower: bool):

@@ -23,10 +23,6 @@ class RMatrixElement:
     dim: int
     mat: Mat
 
-    def is_antisymmetric(self) -> bool:
-        flip = _flip(self.dim)
-        return (self.mat + flip * self.mat * flip).is_zero()
-
     def specialize(self, assignment: dict) -> "RMatrixElement":
         return RMatrixElement(self.dim, self.mat.specialize(assignment))
 
@@ -37,9 +33,6 @@ class BraidOperator:
 
     dim: int
     mat: Mat
-
-    def is_invertible(self) -> bool:
-        return self.mat.rank() == self.dim * self.dim
 
     def specialize(self, assignment: dict) -> "BraidOperator":
         return BraidOperator(self.dim, self.mat.specialize(assignment))

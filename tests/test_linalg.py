@@ -11,7 +11,6 @@ from rpencil.linalg import (
     intersect,
     kernel,
     member,
-    row_space,
 )
 from rpencil.scalars import ONE, Q, Scalar, scalar
 
@@ -76,7 +75,7 @@ def test_kernel_image_dims():
 
 def test_row_space_membership():
     a = dense([[1, 0, 1], [0, 1, 1]])
-    rs = row_space(a)
+    rs = SubspaceBasis(a.ncols, a.rows)
     assert member({0: ONE, 1: ONE, 2: scalar(2)}, rs)
     assert not member({0: ONE}, rs)
 

@@ -1,7 +1,9 @@
 import pytest
 
+from rpencil import quadratic
 from rpencil.freealg import FreeElement
-from rpencil.groebner import IdealCollapse
+from rpencil.glie import enveloping, type2_bracket
+from rpencil.groebner import IdealCollapse, complete, normal_form
 from rpencil.quadratic import (
     ConsistencyError,
     QuadraticPresentation,
@@ -76,13 +78,16 @@ def test_filtered_flatness_failure():
     assert not report["flat"] and report["first_failing_degree"] == 1
 
 
-def test_corrupted_relation_breaks_flatness():
+def _broken_a0q2():
+    # ab - q ba becomes ab - q^2 ba
     pres = a0q(2)
     broken = list(pres.relations)
-    gens = pres.generators
-    broken[0] = broken[0] + (Q - Q * Q) * FreeElement.word(gens, (1, 0))
-    bad = QuadraticPresentation(gens, tuple(broken), "graded")
-    report = certify_flat_graded(bad, 3)
+    broken[0] = broken[0] + (Q - Q * Q) * FreeElement.word(pres.generators, (1, 0))
+    return QuadraticPresentation(pres.generators, tuple(broken), "graded")
+
+
+def test_corrupted_relation_breaks_flatness():
+    report = certify_flat_graded(_broken_a0q2(), 3)
     assert not report["flat"]
     assert report["dims"][3] < report["expected"][3]
 
@@ -92,6 +97,62 @@ def test_lambda_substitution_matches_filtered():
         shifted = lambda_substitute(a0q(n))
         target = jhq(n).specialize({"h": LAM * (Q - 1)})
         assert same_ideal(shifted, target, 3)
+
+
+@pytest.fixture
+def completions(monkeypatch):
+    """The degree bounds of the completions same_ideal asks for."""
+    calls = []
+
+    def counting(relations, degree_bound, flag=None):
+        calls.append(degree_bound)
+        return complete(relations, degree_bound, flag=flag)
+
+    monkeypatch.setattr(quadratic, "complete", counting)
+    return calls
+
+
+def test_same_ideal_other_generating_set(completions):
+    pres = jhq(2)
+    rels = list(pres.relations)
+    rels[0] = rels[0] + 2 * rels[1]
+    other = QuadraticPresentation(pres.generators, tuple(reversed(rels)), "filtered")
+    assert same_ideal(pres, other, 3)
+    assert same_ideal(other, pres, 3)
+    assert completions == [3, 3, 3, 3]
+
+
+def test_same_ideal_detects_corrupted_relation(completions):
+    assert not same_ideal(a0q(2), _broken_a0q2(), 3)
+    assert not same_ideal(_broken_a0q2(), a0q(2), 3)
+    assert completions == [3, 3]
+
+
+def test_same_ideal_identical_relations_complete_nothing(completions):
+    gens = ("x", "y")
+    x, y = (FreeElement.generator(gens, g) for g in gens)
+    collapsing = QuadraticPresentation(
+        gens, (x * y - y * x, x * y - y * x - FreeElement.constant(gens, 1)), "filtered"
+    )
+    for pres in (a0q(3), jhq(2), collapsing):
+        reordered = QuadraticPresentation(
+            pres.generators, tuple(reversed(pres.relations)), pres.flag
+        )
+        assert same_ideal(pres, reordered, 3)
+    assert completions == []
+    with pytest.raises(IdealCollapse):
+        collapsing.to_ideal(3)
+
+
+def test_relations_reduce_to_zero_in_own_completion():
+    # the premise of same_ideal: a shared relation needs no normal form
+    presentations = [
+        a0q(2), a0q(3), jhq(2), jhq(3), lambda_substitute(a0q(2)),
+        enveloping(type2_bracket(2)), _broken_a0q2(),
+    ]
+    for pres in presentations:
+        ideal = pres.to_ideal(3)
+        assert all(not normal_form(ideal, r) for r in pres.relations)
 
 
 def test_lambda_substitution_flags():

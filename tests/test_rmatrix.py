@@ -22,7 +22,9 @@ from rpencil.scalars import ONE, Q, Scalar
 
 def test_canonical_r_antisymmetric():
     for n in (2, 3, 4):
-        assert canonical_r(n).is_antisymmetric()
+        r = canonical_r(n)
+        F = flip_operator(n).mat
+        assert (r.mat + F * r.mat * F).is_zero()
 
 
 def test_schouten_nonzero_but_invariant():
@@ -44,7 +46,8 @@ def test_modified_fails_for_wrong_weighting():
 def test_sp_canonical_r():
     for dim in (2, 4):
         r = canonical_r_sp(dim)
-        assert r.is_antisymmetric()
+        F = flip_operator(dim).mat
+        assert (r.mat + F * r.mat * F).is_zero()
         assert is_modified(r, sp_fundamental(dim))
 
 
@@ -74,7 +77,7 @@ def test_qybe_and_hecke():
         s = hecke_s(n)
         assert qybe_check(s)
         assert hecke_check(s)
-        assert s.is_invertible()
+        assert s.mat.rank() == n * n
 
 
 def test_flip_involutive_and_qybe():

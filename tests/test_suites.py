@@ -88,8 +88,9 @@ def test_mode_agreement_n2():
         ]
 
 
-# sha256 of the report bytes as `rpencil run` prints them, at seed 0
-_PENCIL_REPORT_SHA256 = {
+# sha256 of the report bytes as `rpencil run` prints them, at seed 0 and the
+# default degree (3 at n=4)
+_REPORT_SHA256 = {
     ("pencil-type1", 2, "exact"): "fdde73355fbef83e25b9ffa71c67ad74e2da9f40deac116e0e7b9251433a6f5d",
     ("pencil-type1", 2, "fast"): "fe82764c5f15da1c792862a660375822c32e450cc7f744d450a24c094123fdb4",
     ("pencil-type1", 3, "exact"): "036bbe5bb1185576afabc6da327aab57b8d1cc82a8d53d334d6f563df1048b0c",
@@ -98,11 +99,18 @@ _PENCIL_REPORT_SHA256 = {
     ("pencil-type2", 2, "fast"): "48de8de4751fbf3fb500a2606ce69c229e8325f5f0b431d9ec4c2be74156fa80",
     ("pencil-type2", 3, "exact"): "b0ec69f4708b6c6695b088fe6174733777bce98b93e02986ba2170b20a8619b9",
     ("pencil-type2", 3, "fast"): "a78a29450e443d4a9ea8c0940b94e4890d0d340f41ddaccbcc9d3aeb6e49def7",
+    ("quantum-type2", 2, "exact"): "4d79ed030848fb2b9c46550bfa65ba9b6c6a412eb879130a1fbdfa6ecaeeff1d",
+    ("quantum-type2", 2, "fast"): "4aefdd939f88d65466a746c07f2a8f632343afb0bd8cba624ffb2fea572ce1f1",
+    ("quantum-type2", 3, "exact"): "3da0c4a96572a609f91ddbd688ea675cb4c9eb4b795be16c42d3c20b0557b98e",
+    ("quantum-type2", 3, "fast"): "bc715070c4d6b107f6072bd932efc7a625f59803a14cd6aa0317de47de2d38e0",
+    ("quantum-type2", 4, "fast"): "63e5030641befaed7fd4b80aa964f269d30525483a244cf9a93408ef985db2f7",
+    ("glie", 2, "exact"): "2ae7066ac54ad8d4e82c2e072c89ab449a16f9d2c47d32e4396af68f6840c1ca",
+    ("glie", 2, "fast"): "5d364b10dc00964615309e99733b8dac1539e5c08eab22bb247c0808dc7bc3d0",
 }
 
 
-@pytest.mark.parametrize("suite,n,mode", sorted(_PENCIL_REPORT_SHA256))
+@pytest.mark.parametrize("suite,n,mode", sorted(_REPORT_SHA256))
 def test_pencil_report_bytes_pinned(suite, n, mode):
     text = json.dumps(run_suite(suite, n, None, mode, 0), sort_keys=True, indent=2) + "\n"
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == _PENCIL_REPORT_SHA256[(suite, n, mode)]
+    assert digest == _REPORT_SHA256[(suite, n, mode)]
