@@ -67,7 +67,6 @@ from .quadratic import (
 from .glie import (
     GeneralizedLieBracket,
     SplittingError,
-    adjoint,
     bracket_table,
     check_axiom7,
     check_axiom8,

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .commpoly import GeneratorError
 from .freealg import FreeElement
 from .linalg import Mat, SubspaceBasis, annihilator, intersect, kernel
 from .quadratic import QuadraticPresentation, jhq
 from .rmatrix import BraidOperator, eigen_split, flip_operator, hecke_s, s_w
-from .scalars import ONE, ZERO, Scalar, scalar
+from .scalars import ONE, ZERO, scalar
 
 
 class SplittingError(Exception):
@@ -54,6 +53,11 @@ class GeneralizedLieBracket:
     @property
     def dim(self) -> int:
         return len(self.generators)
+
+    @cached_property
+    def overlap(self) -> SubspaceBasis:
+        """The overlap space of I_minus, computed once per bracket."""
+        return overlap_space(self.i_minus)
 
     def bracket(self, vec: dict) -> dict:
         """Apply the bracket to a tensor-square vector; index N is the 1-slot."""
@@ -167,7 +171,7 @@ def _partial_brackets(g: GeneralizedLieBracket, w: dict):
 
 def check_axiom7(g: GeneralizedLieBracket):
     """(b (x) id - id (x) b) maps the overlap space into I_minus (mod V + k)."""
-    for pos, w in enumerate(overlap_space(g.i_minus).rows):
+    for pos, w in enumerate(g.overlap.rows):
         quad, _ = _partial_brackets(g, w)
         if not g.i_minus.contains(quad):
             return False, {
@@ -184,7 +188,7 @@ def check_axiom8(g: GeneralizedLieBracket):
     quadratic and D1 linear; the requirement is b(D2) + D1 = 0 in V (+) k.
     """
     N = g.dim
-    for pos, w in enumerate(overlap_space(g.i_minus).rows):
+    for pos, w in enumerate(g.overlap.rows):
         quad, lin = _partial_brackets(g, w)
         total = g.bracket(quad)
         for idx, c in lin.items():
@@ -230,17 +234,6 @@ def bracket_table(g: GeneralizedLieBracket) -> dict:
     return out
 
 
-def adjoint(g: GeneralizedLieBracket, name: str) -> dict:
-    """ad_x as a map generator name -> bracket value [x, y]."""
-    if name not in g.generators:
-        raise GeneratorError(f"unknown generator {name!r}")
-    u = g.generators.index(name)
-    N = g.dim
-    return {
-        g.generators[v]: g.value_element({u * N + v: ONE}) for v in range(N)
-    }
-
-
 def enveloping(g: GeneralizedLieBracket) -> QuadraticPresentation:
     """T(V) modulo r - [r], r running over the canonical I_minus basis."""
     rels = []
@@ -251,13 +244,8 @@ def enveloping(g: GeneralizedLieBracket) -> QuadraticPresentation:
     return QuadraticPresentation(g.generators, tuple(rels), flag)
 
 
-def classical_glie(n: int, half_scaled: bool = False) -> GeneralizedLieBracket:
-    """The commutator bracket of gl(n) with the symmetric/skew splitting.
-
-    With half_scaled the bracket is divided by two, the normalization under
-    which the enveloping presentation has relations xy - yx - [x,y]/2 on the
-    full skew basis, reproducing the usual enveloping-algebra relations.
-    """
+def classical_glie(n: int) -> GeneralizedLieBracket:
+    """The commutator bracket of gl(n) with the symmetric/skew splitting."""
     if n < 1:
         raise ValueError("need n >= 1")
     gens = tuple(f"e_{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
@@ -266,7 +254,6 @@ def classical_glie(n: int, half_scaled: bool = False) -> GeneralizedLieBracket:
     delta = flip.mat - Mat.identity(N * N)
     i_minus, i_plus = kernel(delta + 2 * Mat.identity(N * N)), kernel(delta)
     matrix = Mat(N + 1, N * N)
-    scale = Scalar(1) / 2 if half_scaled else ONE
     for u in range(N):
         i, j = divmod(u, n)
         for v in range(N):
@@ -274,22 +261,20 @@ def classical_glie(n: int, half_scaled: bool = False) -> GeneralizedLieBracket:
             col = u * N + v
             # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
             if j == k:
-                matrix.add_to(i * n + l, col, scale)
+                matrix.add_to(i * n + l, col, ONE)
             if l == i:
-                matrix.add_to(k * n + j, col, -scale)
+                matrix.add_to(k * n + j, col, -ONE)
     return GeneralizedLieBracket(gens, i_plus, i_minus, matrix)
 
 
-def random_bracket(
-    i_plus, i_minus, generators, seed: int, with_constant: bool = False
-) -> GeneralizedLieBracket:
-    """A random bracket on the given splitting with small integer values."""
+def random_bracket(i_plus, i_minus, generators, seed: int) -> GeneralizedLieBracket:
+    """A random bracket on the given splitting: small integer values, no constant part."""
     rng = random.Random(seed)
     N = len(generators)
     pairs = []
     for row in i_minus.rows:
         vec = {}
-        for idx in range(N + 1 if with_constant else N):
+        for idx in range(N):
             c = rng.randint(-3, 3)
             if c:
                 vec[idx] = scalar(c)

@@ -54,13 +54,6 @@ class NcIdeal:
         self.flag = flag
         self.rules = rules  # leading word -> monic FreeElement
 
-    def specialize(self, assignment: dict) -> "NcIdeal":
-        return complete(
-            [r.specialize(assignment) for r in self.relations],
-            self.degree_bound,
-            flag=self.flag,
-        )
-
 
 def _lengths(rules) -> list:
     """Distinct leading-word lengths, longest first (the redex search order)."""

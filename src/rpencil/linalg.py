@@ -2,7 +2,8 @@
 
 Matrices are stored sparsely (one dict per row); subspaces are kept as
 reduced row-echelon bases, which makes equality of subspaces equality of
-representations.
+representations.  All elimination goes through ``_reduce_row``: basis rows
+are reduced, so one pass over a row's pivot columns suffices.
 """
 
 from __future__ import annotations
@@ -185,55 +186,39 @@ def rref(rows, ncols):
     Returns (reduced_rows, pivot_columns); reduced rows are sorted by pivot,
     have pivot entry 1 and zeros above and below each pivot.
     """
-    basis: dict = {}  # pivot column -> row dict
+    basis: dict = {}  # pivot column -> reduced row
     for row in rows:
-        row = dict(row)
         row = _reduce_row(row, basis)
         if row:
             piv = min(row)
             inv = 1 / row[piv]
             row = {j: v * inv for j, v in row.items()}
-            # eliminate the new pivot from existing rows
+            new = {piv: row}
             for p, other in basis.items():
-                c = other.get(piv)
-                if c is None:
-                    continue
-                merged = dict(other)
-                del merged[piv]
-                for j, v in row.items():
-                    if j == piv:
-                        continue
-                    newv = merged.get(j, ZERO) - c * v
-                    if newv:
-                        merged[j] = newv
-                    else:
-                        merged.pop(j, None)
-                basis[p] = merged
+                if piv in other:
+                    basis[p] = _reduce_row(other, new)
             basis[piv] = row
     pivots = sorted(basis)
     return [basis[p] for p in pivots], pivots
 
 
 def _reduce_row(row: dict, basis: dict) -> dict:
-    row = dict(row)
-    while True:
-        hit = None
-        for j in row:
-            if j in basis:
-                hit = j
-                break
-        if hit is None:
-            return {j: v for j, v in row.items() if v}
-        c = row[hit]
-        del row[hit]
-        for j, v in basis[hit].items():
-            if j == hit:
-                continue
-            newv = row.get(j, ZERO) - c * v
-            if newv:
-                row[j] = newv
-            else:
-                row.pop(j, None)
+    """Residual of row after eliminating every pivot column of a reduced basis.
+
+    ``basis`` maps each pivot column to its row, whose entry there is 1.  The
+    basis rows are zero in each other's pivot columns, so eliminating one
+    pivot never brings back another and one pass over the row suffices.
+    """
+    row = {j: v for j, v in row.items() if v}
+    for p in [j for j in row if j in basis]:
+        c = row.pop(p)
+        for j, v in basis[p].items():
+            if j != p:
+                newv = row.get(j, ZERO) - c * v
+                if newv:
+                    row[j] = newv
+                else:
+                    del row[j]
     return row
 
 
@@ -242,31 +227,25 @@ class SubspaceBasis:
 
     __slots__ = ("ambient_dim", "rows", "pivots")
 
-    def __init__(self, ambient_dim: int, rows, *, _canonical=False):
+    def __init__(self, ambient_dim: int, rows):
         self.ambient_dim = ambient_dim
-        if _canonical:
-            self.rows = [dict(r) for r in rows]
-            self.pivots = [min(r) for r in self.rows]
-        else:
-            for r in rows:
-                if any(j < 0 or j >= ambient_dim for j in r):
-                    raise DimensionMismatch("vector exceeds ambient dimension")
-            self.rows, self.pivots = rref(rows, ambient_dim)
+        for r in rows:
+            if any(j < 0 or j >= ambient_dim for j in r):
+                raise DimensionMismatch("vector exceeds ambient dimension")
+        self.rows, self.pivots = rref(rows, ambient_dim)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def contains(self, vec: dict) -> bool:
-        if any(j < 0 or j >= self.ambient_dim for j in vec):
-            raise DimensionMismatch("vector exceeds ambient dimension")
-        basis = dict(zip(self.pivots, self.rows))
-        return not _reduce_row(vec, basis)
+        return not self.reduce(vec)
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec after reduction against the basis (zero iff member)."""
-        basis = dict(zip(self.pivots, self.rows))
-        return _reduce_row(vec, basis)
+        if any(j < 0 or j >= self.ambient_dim for j in vec):
+            raise DimensionMismatch("vector exceeds ambient dimension")
+        return _reduce_row(vec, dict(zip(self.pivots, self.rows)))
 
     def __eq__(self, other):
         if not isinstance(other, SubspaceBasis):
@@ -324,10 +303,6 @@ def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
         {j - d: v for j, v in row.items()} for row in rows if min(row) >= d
     ]
     return SubspaceBasis(d, inter)
-
-
-def member(vec: dict, s: SubspaceBasis) -> bool:
-    return s.contains(vec)
 
 
 def annihilator(s: SubspaceBasis) -> SubspaceBasis:

@@ -314,23 +314,6 @@ class Scalar:
                 num += _RING.from_terms([(tuple(reduced), coeff)])
         return _new(_demote(_FIELD.new(num, f.denom)))
 
-    def depends_on(self, name: str) -> bool:
-        idx = PARAMETERS.index(name)
-        f = self._f
-        if not isinstance(f, _FRAC_ELEMENT):
-            return False
-        return any(
-            monom[idx]
-            for poly in (f.numer, f.denom)
-            for monom, _ in poly.terms()
-        )
-
-    def as_fraction(self) -> Fraction:
-        """Value as an exact rational; requires a constant Scalar."""
-        if isinstance(self._f, _FRAC_ELEMENT):
-            raise ScalarError(f"{self} is not constant")
-        return self._f
-
     def __str__(self):
         return str(self._f)
 

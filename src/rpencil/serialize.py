@@ -12,7 +12,7 @@ import json
 
 from .commpoly import Poly
 from .freealg import FreeElement
-from .glie import GeneralizedLieBracket
+from .glie import GeneralizedLieBracket, SplittingError
 from .linalg import Mat, SubspaceBasis
 from .poisson import PoissonStructure
 from .quadratic import QuadraticPresentation
@@ -243,6 +243,8 @@ def from_data(data):
 
     if kind in ("braid", "rmatrix"):
         dim = _expect_int(payload, "dim", path)
+        if dim < 1:
+            raise FormatError(f"{path}.dim", "must be at least 1")
         mat = _mat_in(_expect(payload, "matrix", dict, path), f"{path}.matrix")
         want = (dim * dim, dim * dim)
         if mat.shape != want:
@@ -267,7 +269,7 @@ def from_data(data):
     mat = _mat_in(_expect(payload, "matrix", dict, path), f"{path}.matrix")
     try:
         return GeneralizedLieBracket(generators, i_plus, i_minus, mat)
-    except Exception as exc:
+    except SplittingError as exc:
         raise FormatError(path, str(exc)) from None
 
 
@@ -281,14 +283,16 @@ def loads(text: str):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError("$", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("$", "invalid JSON: nested too deeply") from None
     return from_data(data)
 
 
-def save(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
-
-
 def load(path):
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError("$", f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return loads(text)

@@ -261,7 +261,7 @@ def _suite_glie(n, degree, assign, rng, checks):
     if assign:
         g = g.specialize(assign)
     N = n * n
-    overlap = _glie.overlap_space(g.i_minus)
+    overlap = g.overlap
     checks.add(
         "overlap-dimension", overlap.dim == comb(N, 3), dim=overlap.dim, expected=comb(N, 3)
     )
@@ -317,7 +317,7 @@ def _suite_glie(n, degree, assign, rng, checks):
 
 
 def _glie_section5_checks(assign, g, checks):
-    overlap = _glie.overlap_space(g.i_minus)
+    overlap = g.overlap
     members = []
     sides = []
     for idx, (lhs, rhs) in enumerate(_overlap_displays(), start=1):

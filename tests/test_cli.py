@@ -65,7 +65,7 @@ def test_bad_usage_exits_2():
 
 def test_parse_valid_file(tmp_path, capsys):
     path = tmp_path / "pres.json"
-    serialize.save(a0q(2), path)
+    path.write_text(serialize.dumps(a0q(2)), encoding="utf-8")
     assert main(["parse", str(path)]) == 0
     assert capsys.readouterr().out == serialize.dumps(a0q(2))
 
@@ -81,6 +81,25 @@ def test_parse_invalid_file_exits_2(tmp_path, capsys):
 
 def test_parse_missing_file_exits_2(tmp_path, capsys):
     assert main(["parse", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "content,reason",
+    [
+        (b"[" * 200000, "nested too deeply"),
+        (b'{"schema": 1, "kind": "\xff"}', "not UTF-8 text: invalid start byte at byte 23"),
+    ],
+    ids=["over-nested", "not-utf8"],
+)
+def test_parse_unreadable_file_exits_2(tmp_path, capsys, content, reason):
+    path = tmp_path / "pres.json"
+    path.write_bytes(content)
+    assert main(["parse", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: $: ")
+    assert reason in lines[0]
 
 
 def test_math_failure_exits_1(monkeypatch, capsys):

@@ -85,7 +85,7 @@ GENS4 = a0q(2).generators
 
 def test_specialize_recompletes():
     ideal = complete([X * Y - Q * (Y * X)], 3)
-    specialized = ideal.specialize({"q": 2})
+    specialized = complete([r.specialize({"q": 2}) for r in ideal.relations], 3)
     assert hilbert(specialized, 3) == 4
     assert normal_form(specialized, Y * X) == (scalar(1) / 2) * (X * Y)
 
@@ -267,6 +267,18 @@ def test_tail_reduction_is_exercised():
     # for zxzx, which contains zxxx
     x, y, z = (FreeElement.generator(GENS3, g) for g in GENS3)
     relations = [z * z - y * x, y * y - x * z, x * y - z - x]
+    rules = complete(relations, 4).rules
+    assert list(rules.items()) == list(_reference_complete(relations, 4).items())
+
+
+def test_subword_sets_follow_tail_reduction():
+    # re-reduces one rule tail twice: after the first re-reduction the rule's
+    # subword set must be rebuilt, or the second one is missed
+    gens = ("a", "b", "c", "d")
+    a, b, c, d = (FreeElement.generator(gens, g) for g in gens)
+    one = FreeElement.constant(gens, 1)
+    relations = [2 * (c * c) + 2 * (b * a) - a * b, b * b + 2 * one, d * b + 2 * a,
+                 2 * (d * b) + a * c - c]
     rules = complete(relations, 4).rules
     assert list(rules.items()) == list(_reference_complete(relations, 4).items())
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpencil.linalg import (
     DimensionMismatch,
@@ -10,9 +12,9 @@ from rpencil.linalg import (
     image,
     intersect,
     kernel,
-    member,
+    rref,
 )
-from rpencil.scalars import ONE, Q, Scalar, scalar
+from rpencil.scalars import ONE, Q, ZERO, Scalar, scalar
 
 
 def dense(rows):
@@ -76,8 +78,8 @@ def test_kernel_image_dims():
 def test_row_space_membership():
     a = dense([[1, 0, 1], [0, 1, 1]])
     rs = SubspaceBasis(a.ncols, a.rows)
-    assert member({0: ONE, 1: ONE, 2: scalar(2)}, rs)
-    assert not member({0: ONE}, rs)
+    assert rs.contains({0: ONE, 1: ONE, 2: scalar(2)})
+    assert not rs.contains({0: ONE})
 
 
 def test_subspace_canonical_equality():
@@ -92,7 +94,7 @@ def test_intersect():
     b = SubspaceBasis(3, [{1: ONE}, {2: ONE}])
     c = intersect(a, b)
     assert c.dim == 1
-    assert member({1: ONE}, c)
+    assert c.contains({1: ONE})
 
 
 def test_annihilator():
@@ -132,3 +134,62 @@ def test_zassenhaus_against_dimension_formula():
         a, b = rand_basis(3), rand_basis(3)
         both = SubspaceBasis(5, list(a.rows) + list(b.rows))
         assert intersect(a, b).dim == a.dim + b.dim - both.dim
+
+
+def _reference_rref(rows, ncols):
+    """Dense Gauss-Jordan elimination, one column at a time."""
+    m = [[row.get(j, ZERO) for j in range(ncols)] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pick is None:
+            continue
+        m[r], m[pick] = m[pick], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            c = m[i][col]
+            if i != r and c:
+                m[i] = [a - c * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    reduced = [{j: v for j, v in enumerate(row) if v} for row in m[: len(pivots)]]
+    return reduced, pivots
+
+
+def _reference_residual(vec, reduced, pivots, ncols):
+    """vec minus the combination of the RREF rows that clears every pivot column."""
+    r = [vec.get(j, ZERO) for j in range(ncols)]
+    for row, p in zip(reduced, pivots):
+        c = r[p]
+        r = [a - c * row.get(j, ZERO) for j, a in enumerate(r)]
+    return {j: v for j, v in enumerate(r) if v}
+
+
+_INTEGER = st.integers(-3, 3).map(scalar)
+_Q_LINEAR = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+    lambda ab: scalar(ab[0]) + ab[1] * Q
+)
+
+
+@st.composite
+def _sparse_system(draw):
+    ncols = draw(st.integers(1, 6))
+    entry = draw(st.sampled_from([_INTEGER, _Q_LINEAR]))
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=4)
+    return draw(st.lists(row, max_size=6)), draw(row), ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_system())
+def test_rref_matches_dense_reference(system):
+    # zero entries in the input rows are allowed and must not become pivots
+    rows, vec, ncols = system
+    reduced, pivots = _reference_rref(rows, ncols)
+    assert rref(rows, ncols) == (reduced, pivots)
+    space = SubspaceBasis(ncols, rows)
+    assert (space.rows, space.pivots) == (reduced, pivots)
+    residual = _reference_residual(vec, reduced, pivots, ncols)
+    assert space.reduce(vec) == residual
+    assert space.contains(vec) == (len(_reference_rref(rows + [vec], ncols)[1]) == len(pivots))
+    assert space.contains(vec) == (not residual)

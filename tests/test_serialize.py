@@ -85,6 +85,10 @@ def test_bad_schema_version():
 def test_invalid_json():
     with pytest.raises(FormatError):
         serialize.loads("{oops")
+    # too deep for the json module, which raises RecursionError
+    with pytest.raises(FormatError) as err:
+        serialize.loads("[" * 200000)
+    assert err.value.path == "$"
 
 
 def test_matrix_entry_out_of_range():
@@ -103,5 +107,40 @@ def test_quadratic_bad_word():
 
 def test_file_round_trip(tmp_path):
     path = tmp_path / "obj.json"
-    serialize.save(jhq(2), path)
+    path.write_text(serialize.dumps(jhq(2)), encoding="utf-8")
     assert serialize.load(path) == jhq(2)
+
+
+@pytest.mark.parametrize("obj", [hecke_s(2), canonical_r(2)], ids=["braid", "rmatrix"])
+@pytest.mark.parametrize("dim", [-2, 0])
+def test_dim_below_one_rejected(obj, dim):
+    # dim -2 squares to the 4 x 4 shape of the stored matrix
+    data = serialize.to_data(obj)
+    data["payload"]["dim"] = dim
+    data["payload"]["matrix"]["nrows"] = data["payload"]["matrix"]["ncols"] = dim * dim
+    if dim == 0:
+        data["payload"]["matrix"]["entries"] = {}
+    with pytest.raises(FormatError) as err:
+        serialize.from_data(data)
+    assert err.value.path == "$.payload.dim"
+
+
+def test_bad_splitting_is_a_format_error():
+    data = serialize.to_data(type2_bracket(2))
+    data["payload"]["i_plus"] = data["payload"]["i_minus"]
+    with pytest.raises(FormatError) as err:
+        serialize.from_data(data)
+    assert err.value.path == "$.payload"
+
+
+def test_internal_error_is_not_a_format_error(monkeypatch):
+    # only a SplittingError describes the file; any other error is a fault
+    # of the program and must not be reported as a malformed file
+    def broken(*args):
+        raise ZeroDivisionError("internal")
+
+    data = serialize.to_data(type2_bracket(2))
+    monkeypatch.setattr(serialize, "GeneralizedLieBracket", broken)
+    with pytest.raises(ZeroDivisionError):
+        serialize.from_data(data)
+

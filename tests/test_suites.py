@@ -88,6 +88,23 @@ def test_mode_agreement_n2():
         ]
 
 
+def test_glie_builds_one_overlap_space(monkeypatch):
+    # the overlap-dimension, oracle, axiom and display checks share the
+    # bracket's overlap space; fast mode builds a fresh specialized bracket
+    import rpencil.glie as glie_mod
+
+    real = glie_mod.overlap_space
+    calls = []
+
+    def counted(i):
+        calls.append(i)
+        return real(i)
+
+    monkeypatch.setattr(glie_mod, "overlap_space", counted)
+    assert run_suite("glie", 2, None, "fast", 0)["verdict"] == "pass"
+    assert len(calls) == 1
+
+
 # sha256 of the report bytes as `rpencil run` prints them, at seed 0 and the
 # default degree (3 at n=4)
 _REPORT_SHA256 = {
@@ -106,6 +123,7 @@ _REPORT_SHA256 = {
     ("quantum-type2", 4, "fast"): "63e5030641befaed7fd4b80aa964f269d30525483a244cf9a93408ef985db2f7",
     ("glie", 2, "exact"): "2ae7066ac54ad8d4e82c2e072c89ab449a16f9d2c47d32e4396af68f6840c1ca",
     ("glie", 2, "fast"): "5d364b10dc00964615309e99733b8dac1539e5c08eab22bb247c0808dc7bc3d0",
+    ("glie", 3, "fast"): "743a9d001ae250e572674c64cc2cdfba7d17fa673e458153c3ec37497dab6dc1",
 }
 
 
