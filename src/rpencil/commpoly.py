@@ -143,9 +143,6 @@ class Poly:
             m: v for m, v in ((m, fn(c)) for m, c in self.terms.items()) if v
         })
 
-    def specialize(self, assignment: dict) -> "Poly":
-        return self.scalar_map(lambda c: c.specialize(assignment))
-
     def coefficient_of_param(self, name: str, power: int) -> "Poly":
         return self.scalar_map(lambda c: c.coefficient_of(name, power))
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .freealg import FreeElement
+from .groebner import quadratic_flag
 from .linalg import Mat, SubspaceBasis, annihilator, intersect, kernel
 from .quadratic import QuadraticPresentation, jhq
 from .rmatrix import BraidOperator, eigen_split, flip_operator, hecke_s, s_w
@@ -63,9 +64,6 @@ class GeneralizedLieBracket:
         """Apply the bracket to a tensor-square vector; index N is the 1-slot."""
         return self.matrix.apply(vec)
 
-    def pair(self, u: int, v: int) -> dict:
-        return self.bracket({u * self.dim + v: ONE})
-
     def value_element(self, vec: dict) -> FreeElement:
         """The bracket of vec as a degree <= 1 free-algebra element."""
         N = self.dim
@@ -76,14 +74,6 @@ class GeneralizedLieBracket:
             else:
                 out = out + FreeElement.word(self.generators, (idx,), c)
         return out
-
-    def specialize(self, assignment: dict) -> "GeneralizedLieBracket":
-        return GeneralizedLieBracket(
-            self.generators,
-            self.i_plus.specialize(assignment),
-            self.i_minus.specialize(assignment),
-            self.matrix.specialize(assignment),
-        )
 
     @staticmethod
     def from_relation_values(generators, i_plus, pairs) -> "GeneralizedLieBracket":
@@ -202,17 +192,13 @@ def check_axiom8(g: GeneralizedLieBracket):
     return True, None
 
 
-@lru_cache(maxsize=None)
-def type2_bracket(n: int) -> GeneralizedLieBracket:
-    """The q-Lie bracket whose enveloping algebra is the filtered quantum
-    matrix algebra: relation quadratic parts map to their lower-order terms,
-    the complementary eigenspace maps to zero.
+def from_presentation(
+    pres: QuadraticPresentation, i_plus: SubspaceBasis
+) -> GeneralizedLieBracket:
+    """The inverse of `enveloping`: each relation's quadratic part maps to
+    its lower-order terms, and i_plus maps to zero.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    pres = jhq(n)
-    _, i_plus = eigen_split(s_w(hecke_s(n)))
-    N = n * n
+    N = pres.dim
     pairs = []
     for rel in pres.relations:
         quad = rel.homogeneous_part(2)
@@ -222,6 +208,16 @@ def type2_bracket(n: int) -> GeneralizedLieBracket:
             vec[word[0] if word else N] = c
         pairs.append((quad.to_vector(2), vec))
     return GeneralizedLieBracket.from_relation_values(pres.generators, i_plus, pairs)
+
+
+@lru_cache(maxsize=None)
+def type2_bracket(n: int) -> GeneralizedLieBracket:
+    """The q-Lie bracket whose enveloping algebra is the filtered quantum
+    matrix algebra, with the complementary eigenspace as I_plus.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return from_presentation(jhq(n), eigen_split(s_w(hecke_s(n)))[1])
 
 
 def bracket_table(g: GeneralizedLieBracket) -> dict:
@@ -240,8 +236,7 @@ def enveloping(g: GeneralizedLieBracket) -> QuadraticPresentation:
     for row in g.i_minus.rows:
         quad = FreeElement.from_vector(g.generators, 2, row)
         rels.append(quad - g.value_element(row))
-    flag = "graded" if all(r.homogeneous_part(2) == r for r in rels) else "filtered"
-    return QuadraticPresentation(g.generators, tuple(rels), flag)
+    return QuadraticPresentation(g.generators, tuple(rels), quadratic_flag(rels))
 
 
 def classical_glie(n: int) -> GeneralizedLieBracket:

@@ -112,6 +112,13 @@ def _find_redex(word, rules, lengths):
     return None
 
 
+def quadratic_flag(relations) -> str:
+    """The flag of a relation set: graded if every relation is homogeneous
+    of degree 2, filtered otherwise.
+    """
+    return "graded" if all(len(w) == 2 for r in relations for w in r.terms) else "filtered"
+
+
 def complete(relations, degree_bound: int, flag: str = None) -> NcIdeal:
     """Inter-reduce the relations and resolve all overlaps of length <= D."""
     if degree_bound < 2:
@@ -126,11 +133,7 @@ def complete(relations, degree_bound: int, flag: str = None) -> NcIdeal:
         if r.degree() > 2:
             raise ValueError("relations must have degree <= 2")
     if flag is None:
-        flag = (
-            "graded"
-            if all(len(w) == 2 for r in relations for w in r.terms)
-            else "filtered"
-        )
+        flag = quadratic_flag(relations)
 
     # Pop order: smallest leading word under deglex first, and among equal
     # leading words the most recently queued.  Degree-truncated filtered

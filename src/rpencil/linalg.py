@@ -258,12 +258,6 @@ class SubspaceBasis:
     def __repr__(self):
         return f"SubspaceBasis(dim={self.dim}, ambient={self.ambient_dim})"
 
-    def specialize(self, assignment: dict) -> "SubspaceBasis":
-        rows = [
-            {j: v.specialize(assignment) for j, v in row.items()} for row in self.rows
-        ]
-        return SubspaceBasis(self.ambient_dim, rows)
-
 
 def kernel(m: Mat) -> SubspaceBasis:
     """Right kernel {x : m x = 0} as a canonical basis."""

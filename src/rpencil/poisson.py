@@ -112,11 +112,6 @@ class PoissonStructure:
             table[k] = table.get(k, Poly.zero(self.generators)) + p
         return PoissonStructure(self.generators, table)
 
-    def specialize(self, assignment: dict) -> "PoissonStructure":
-        return PoissonStructure(
-            self.generators, {k: p.specialize(assignment) for k, p in self.table.items()}
-        )
-
     def __eq__(self, other):
         if not isinstance(other, PoissonStructure):
             return NotImplemented

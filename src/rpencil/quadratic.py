@@ -12,7 +12,7 @@ from math import comb
 
 from .commpoly import GeneratorError
 from .freealg import FreeElement
-from .groebner import NcIdeal, complete, filtration_dims, hilbert, normal_form
+from .groebner import NcIdeal, complete, filtration_dims, hilbert, normal_form, quadratic_flag
 from .linalg import SubspaceBasis
 from .poisson import _pair_case, matrix_generators
 from .rmatrix import eigen_split, hecke_s, s_w
@@ -195,8 +195,7 @@ def lambda_substitute(p: QuadraticPresentation, lam=LAM) -> QuadraticPresentatio
                 f"diagonal shift leaves a constant term {const} in relation {rel}"
             )
         out.append(shifted)
-    flag = "graded" if all(r.homogeneous_part(2) == r for r in out) else "filtered"
-    return QuadraticPresentation(gens, tuple(out), flag)
+    return QuadraticPresentation(gens, tuple(out), quadratic_flag(out))
 
 
 def certify_flat_graded(

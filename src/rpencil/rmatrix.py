@@ -23,9 +23,6 @@ class RMatrixElement:
     dim: int
     mat: Mat
 
-    def specialize(self, assignment: dict) -> "RMatrixElement":
-        return RMatrixElement(self.dim, self.mat.specialize(assignment))
-
 
 @dataclass(frozen=True)
 class BraidOperator:

@@ -54,9 +54,12 @@ def _mat_out(m: Mat) -> dict:
             entries[f"{i},{j}"] = _scalar_out(v)
     return {"nrows": m.nrows, "ncols": m.ncols, "entries": entries}
 
-def _mat_in(data, path: str) -> Mat:
+def _mat_in(data, path: str, shape: tuple) -> Mat:
+    """A matrix whose declared shape must equal shape, checked before allocating."""
     nrows = _expect_int(data, "nrows", path)
     ncols = _expect_int(data, "ncols", path)
+    if (nrows, ncols) != shape:
+        raise FormatError(path, f"expected shape {shape}, got {(nrows, ncols)}")
     entries = _expect(data, "entries", dict, path)
     m = Mat(nrows, ncols)
     for key, text in entries.items():
@@ -116,7 +119,8 @@ def _free_in(data, generators, path: str) -> FreeElement:
         if not (isinstance(item, list) and len(item) == 2):
             raise FormatError(here, "expected [word, coefficient] pairs")
         word, text = item
-        if not (isinstance(word, list) and all(isinstance(g, int) and 0 <= g < n for g in word)):
+        # type(...) is int: JSON true and false load as the bools True and False
+        if not (isinstance(word, list) and all(type(g) is int and 0 <= g < n for g in word)):
             raise FormatError(here, "word must be a list of generator indices")
         out = out + FreeElement.word(generators, tuple(word), _scalar_in(text, here))
     return out
@@ -136,7 +140,7 @@ def _poly_in(data, generators, path: str) -> Poly:
         if not (
             isinstance(exps, list)
             and len(exps) == n
-            and all(isinstance(e, int) and e >= 0 for e in exps)
+            and all(type(e) is int and e >= 0 for e in exps)  # not bool, as above
         ):
             raise FormatError(here, f"exponent vector must have {n} nonnegative entries")
         out = out + Poly.monomial(generators, tuple(exps), _scalar_in(text, here))
@@ -245,10 +249,9 @@ def from_data(data):
         dim = _expect_int(payload, "dim", path)
         if dim < 1:
             raise FormatError(f"{path}.dim", "must be at least 1")
-        mat = _mat_in(_expect(payload, "matrix", dict, path), f"{path}.matrix")
-        want = (dim * dim, dim * dim)
-        if mat.shape != want:
-            raise FormatError(f"{path}.matrix", f"expected shape {want}, got {mat.shape}")
+        mat = _mat_in(
+            _expect(payload, "matrix", dict, path), f"{path}.matrix", (dim * dim, dim * dim)
+        )
         return BraidOperator(dim, mat) if kind == "braid" else RMatrixElement(dim, mat)
 
     if kind == "quadratic":
@@ -266,7 +269,8 @@ def from_data(data):
 
     i_plus = _basis_in(_expect(payload, "i_plus", dict, path), f"{path}.i_plus")
     i_minus = _basis_in(_expect(payload, "i_minus", dict, path), f"{path}.i_minus")
-    mat = _mat_in(_expect(payload, "matrix", dict, path), f"{path}.matrix")
+    N = len(generators)
+    mat = _mat_in(_expect(payload, "matrix", dict, path), f"{path}.matrix", (N + 1, N * N))
     try:
         return GeneralizedLieBracket(generators, i_plus, i_minus, mat)
     except SplittingError as exc:

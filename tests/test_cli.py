@@ -4,6 +4,7 @@ import pytest
 
 from rpencil import serialize
 from rpencil.cli import main
+from rpencil.poisson import sd_quadratic
 from rpencil.quadratic import a0q
 
 
@@ -77,6 +78,25 @@ def test_parse_invalid_file_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["parse", str(path)]) == 2
     assert "2/4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["generator-index", "exponent"])
+def test_parse_rejects_boolean_integers(tmp_path, capsys, field):
+    # JSON true and false load as the Python ints 1 and 0; accepting them
+    # would echo a file that is not canonical
+    if field == "generator-index":
+        data = serialize.to_data(a0q(2))
+        data["payload"]["relations"][0][0][0] = [False, True]
+    else:
+        data = serialize.to_data(sd_quadratic(2))
+        data["payload"]["table"]["0,1"][0][0] = [True, True, False, False]
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(data))
+    assert main(["parse", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: $.payload.")
 
 
 def test_parse_missing_file_exits_2(tmp_path, capsys):

@@ -50,12 +50,6 @@ def test_coefficient_of_param():
     assert p.coefficient_of_param("lam", 2) == x * x
 
 
-def test_specialize():
-    x = g("x")
-    p = Q * x
-    assert p.specialize({"q": 3}) == 3 * x
-
-
 def test_generator_mismatch():
     other = Poly.generator(("x", "y"), "x")
     with pytest.raises(GeneratorError):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -144,3 +145,24 @@ def test_internal_error_is_not_a_format_error(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         serialize.from_data(data)
 
+
+
+@pytest.mark.parametrize(
+    "obj,want", [(hecke_s(2), (4, 4)), (type2_bracket(2), (5, 16))], ids=["braid", "glie"]
+)
+def test_declared_shape_checked_before_allocating(obj, want):
+    # a file of a few hundred bytes must not make the loader allocate one
+    # row per declared row before it sees that the shape is wrong
+    data = serialize.to_data(obj)
+    data["payload"]["matrix"] = {"nrows": 2000000, "ncols": want[1], "entries": {}}
+    text = json.dumps(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            serialize.loads(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.path == "$.payload.matrix"
+    assert f"expected shape {want}, got {(2000000, want[1])}" in str(err.value)
+    assert peak < 5 * 2**20

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from rpencil.scalars import DEFAULT_ASSIGNMENT
 from rpencil.suites import SUITES, SuiteError, run_suite
 
 
@@ -90,7 +91,7 @@ def test_mode_agreement_n2():
 
 def test_glie_builds_one_overlap_space(monkeypatch):
     # the overlap-dimension, oracle, axiom and display checks share the
-    # bracket's overlap space; fast mode builds a fresh specialized bracket
+    # overlap space of the one bracket a run builds
     import rpencil.glie as glie_mod
 
     real = glie_mod.overlap_space
@@ -103,6 +104,41 @@ def test_glie_builds_one_overlap_space(monkeypatch):
     monkeypatch.setattr(glie_mod, "overlap_space", counted)
     assert run_suite("glie", 2, None, "fast", 0)["verdict"] == "pass"
     assert len(calls) == 1
+
+
+def test_glie_fast_builds_bracket_at_the_point(monkeypatch):
+    # fast mode specializes the bracket's inputs, so every bracket it builds,
+    # the run's own and those of the constructor checks, is already rational
+    import rpencil.glie as glie_mod
+
+    real = glie_mod.GeneralizedLieBracket.__post_init__
+    built = []
+
+    def recorded(self):
+        built.append(self)
+        real(self)
+
+    def symbolic(n):
+        raise AssertionError(f"fast mode built the symbolic type2_bracket({n})")
+
+    monkeypatch.setattr(glie_mod.GeneralizedLieBracket, "__post_init__", recorded)
+    monkeypatch.setattr(glie_mod, "type2_bracket", symbolic)
+    assert run_suite("glie", 3, None, "fast", 0)["verdict"] == "pass"
+    assert built
+    for g in built:
+        for row in g.matrix.rows:
+            assert all(v.specialize(DEFAULT_ASSIGNMENT) == v for v in row.values())
+
+
+@pytest.mark.parametrize("suite", ["pencil-type1", "pencil-type2"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_pencil_fast_run_is_the_exact_run(suite, n):
+    # the pencil suites have no parameters: fast mode changes only the label
+    exact = run_suite(suite, n, None, "exact", 0)
+    fast = run_suite(suite, n, None, "fast", 0)
+    assert exact["parameters"].pop("mode") == "exact"
+    assert fast["parameters"].pop("mode") == "fast"
+    assert fast == exact
 
 
 # sha256 of the report bytes as `rpencil run` prints them, at seed 0 and the
@@ -123,6 +159,7 @@ _REPORT_SHA256 = {
     ("quantum-type2", 4, "fast"): "63e5030641befaed7fd4b80aa964f269d30525483a244cf9a93408ef985db2f7",
     ("glie", 2, "exact"): "2ae7066ac54ad8d4e82c2e072c89ab449a16f9d2c47d32e4396af68f6840c1ca",
     ("glie", 2, "fast"): "5d364b10dc00964615309e99733b8dac1539e5c08eab22bb247c0808dc7bc3d0",
+    ("glie", 3, "exact"): "8cc99e354d97289cfc1f5d15b22f2ea5a66f13aced03630c568117b69b0165b2",
     ("glie", 3, "fast"): "743a9d001ae250e572674c64cc2cdfba7d17fa673e458153c3ec37497dab6dc1",
 }
 
