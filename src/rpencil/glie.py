@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 
 from .freealg import FreeElement
 from .groebner import quadratic_flag
-from .linalg import Mat, SubspaceBasis, annihilator, intersect, kernel
+from .linalg import DimensionMismatch, Mat, SubspaceBasis, annihilator, complementary, kernel
 from .quadratic import QuadraticPresentation, jhq
 from .rmatrix import BraidOperator, eigen_split, flip_operator, hecke_s, s_w
 from .scalars import ONE, ZERO, scalar
@@ -43,7 +43,7 @@ class GeneralizedLieBracket:
             raise SplittingError("splitting spaces live in the wrong tensor square")
         if self.i_plus.dim + self.i_minus.dim != N * N:
             raise SplittingError("splitting dimensions do not add up to N^2")
-        if intersect(self.i_plus, self.i_minus).dim != 0:
+        if not complementary(self.i_plus, self.i_minus):
             raise SplittingError("splitting spaces intersect nontrivially")
         if self.matrix.shape != (N + 1, N * N):
             raise SplittingError("bracket matrix has the wrong shape")
@@ -93,13 +93,15 @@ class GeneralizedLieBracket:
         for col, vec in enumerate(quads + list(i_plus.rows)):
             for idx, c in vec.items():
                 basis.set(idx, col, c)
-        if basis.rank() != N * N:
-            raise SplittingError("relation vectors and I_plus do not span V(x)V")
+        try:
+            inverse = basis.inverse()
+        except DimensionMismatch:
+            raise SplittingError("relation vectors and I_plus do not span V(x)V") from None
         values = Mat(N + 1, N * N)
         for col, (_, val) in enumerate(pairs):
             for idx, c in val.items():
                 values.set(idx, col, c)
-        matrix = values * basis.inverse()
+        matrix = values * inverse
         return GeneralizedLieBracket(tuple(generators), i_plus, i_minus, matrix)
 
 

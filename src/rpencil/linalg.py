@@ -299,6 +299,18 @@ def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     return SubspaceBasis(d, inter)
 
 
+def complementary(a: SubspaceBasis, b: SubspaceBasis) -> bool:
+    """Whether the ambient space is the direct sum of a and b.
+
+    With dim a + dim b = d, a and b meet only in zero exactly when their
+    stacked bases have rank d, so one elimination of width d decides it.
+    """
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatch(f"ambient {a.ambient_dim} vs {b.ambient_dim}")
+    d = a.ambient_dim
+    return a.dim + b.dim == d and len(rref(a.rows + b.rows, d)[0]) == d
+
+
 def annihilator(s: SubspaceBasis) -> SubspaceBasis:
     """Functionals vanishing on s (w.r.t. the standard pairing)."""
     m = Mat(len(s.rows), s.ambient_dim, [dict(r) for r in s.rows])

@@ -54,13 +54,19 @@ def _mat_out(m: Mat) -> dict:
             entries[f"{i},{j}"] = _scalar_out(v)
     return {"nrows": m.nrows, "ncols": m.ncols, "entries": entries}
 
-def _mat_in(data, path: str, shape: tuple) -> Mat:
-    """A matrix whose declared shape must equal shape, checked before allocating."""
+def _mat_in(data, path: str, shape: tuple, invertible: bool = False) -> Mat:
+    """A matrix whose declared shape must equal shape, checked before allocating.
+
+    An invertible matrix has an entry in every row, so its declared rows are
+    bounded by the entries the file lists.
+    """
     nrows = _expect_int(data, "nrows", path)
     ncols = _expect_int(data, "ncols", path)
     if (nrows, ncols) != shape:
         raise FormatError(path, f"expected shape {shape}, got {(nrows, ncols)}")
     entries = _expect(data, "entries", dict, path)
+    if invertible and len(entries) < nrows:
+        raise FormatError(path, f"needs an entry in each of its {nrows} rows, got {len(entries)}")
     m = Mat(nrows, ncols)
     for key, text in entries.items():
         here = f"{path}.entries[{key}]"
@@ -249,9 +255,9 @@ def from_data(data):
         dim = _expect_int(payload, "dim", path)
         if dim < 1:
             raise FormatError(f"{path}.dim", "must be at least 1")
-        mat = _mat_in(
-            _expect(payload, "matrix", dict, path), f"{path}.matrix", (dim * dim, dim * dim)
-        )
+        matrix = _expect(payload, "matrix", dict, path)
+        shape = (dim * dim, dim * dim)
+        mat = _mat_in(matrix, f"{path}.matrix", shape, invertible=kind == "braid")
         return BraidOperator(dim, mat) if kind == "braid" else RMatrixElement(dim, mat)
 
     if kind == "quadratic":

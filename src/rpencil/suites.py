@@ -20,7 +20,7 @@ from . import quadratic as _quadratic
 from . import rmatrix as _rmatrix
 from .commpoly import Poly
 from .freealg import FreeElement
-from .linalg import Mat, SubspaceBasis, intersect
+from .linalg import Mat, SubspaceBasis, complementary, intersect
 from .scalars import DEFAULT_ASSIGNMENT, H, LAM, ONE, Q, Scalar
 
 SUITES = ("pencil-type1", "pencil-type2", "quantum-type2", "glie", "all")
@@ -219,10 +219,7 @@ def _suite_quantum_type2(n, degree, assign, rng, checks):
         i_minus=i_minus.dim,
         i_plus=i_plus.dim,
     )
-    checks.add(
-        "eigen-direct-sum",
-        intersect(i_minus, i_plus).dim == 0 and i_minus.dim + i_plus.dim == N * N,
-    )
+    checks.add("eigen-direct-sum", complementary(i_minus, i_plus))
 
     try:
         pres = _quadratic.a0q(n)

@@ -30,6 +30,23 @@ def test_splitting_validation():
     bad.set(0, 0, ONE)  # a (x) a lies in I_plus, so this breaks axiom 1
     with pytest.raises(SplittingError):
         GeneralizedLieBracket(g.generators, g.i_plus, g.i_minus, bad)
+    # the dimensions still add up to N^2, so only the rank test can see that
+    # the swapped-in I_minus row lies in both spaces
+    for h in (g, classical_glie(2)):
+        meets = SubspaceBasis(16, list(h.i_plus.rows[1:]) + [h.i_minus.rows[0]])
+        assert meets.dim + h.i_minus.dim == 16
+        with pytest.raises(SplittingError, match="intersect nontrivially"):
+            GeneralizedLieBracket(h.generators, meets, h.i_minus, h.matrix)
+
+
+def test_relation_vectors_that_do_not_span_rejected():
+    # independent relation vectors, one of which lies in I_plus: the vectors
+    # together with I_plus are dependent, so the basis matrix is singular
+    g = classical_glie(2)
+    quads = list(g.i_minus.rows[1:]) + [g.i_plus.rows[0]]
+    pairs = [(vec, {0: ONE}) for vec in quads]
+    with pytest.raises(SplittingError, match="do not span"):
+        GeneralizedLieBracket.from_relation_values(g.generators, g.i_plus, pairs)
 
 
 def test_overlap_dimensions():

@@ -9,6 +9,7 @@ from rpencil.linalg import (
     Mat,
     SubspaceBasis,
     annihilator,
+    complementary,
     image,
     intersect,
     kernel,
@@ -39,6 +40,8 @@ def test_shape_mismatch():
         dense([[1, 2]]) * dense([[1, 2]])
     with pytest.raises(DimensionMismatch):
         dense([[1]]) + dense([[1, 2]])
+    with pytest.raises(DimensionMismatch):
+        complementary(SubspaceBasis(2, []), SubspaceBasis(3, []))
 
 
 def test_transpose_kron():
@@ -193,3 +196,25 @@ def test_rref_matches_dense_reference(system):
     assert space.reduce(vec) == residual
     assert space.contains(vec) == (len(_reference_rref(rows + [vec], ncols)[1]) == len(pivots))
     assert space.contains(vec) == (not residual)
+
+
+@st.composite
+def _subspace_pair(draw):
+    # row counts that add up to d, or one more, so that both answers occur
+    d = draw(st.integers(1, 5))
+    entry = draw(st.sampled_from([_INTEGER, _Q_LINEAR]))
+    row = st.dictionaries(st.integers(0, d - 1), entry, min_size=1, max_size=d)
+    k = draw(st.integers(0, d))
+    extra = draw(st.integers(0, 1))
+    a = draw(st.lists(row, min_size=k, max_size=k))
+    b = draw(st.lists(row, min_size=d - k + extra, max_size=d - k + extra))
+    return SubspaceBasis(d, a), SubspaceBasis(d, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_subspace_pair())
+def test_complementary_matches_intersection(pair):
+    a, b = pair
+    d = a.ambient_dim
+    assert complementary(a, b) == (intersect(a, b).dim == 0 and a.dim + b.dim == d)
+    assert complementary(b, a) == complementary(a, b)

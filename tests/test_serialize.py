@@ -1,5 +1,7 @@
+import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,7 @@ from rpencil import serialize
 from rpencil.glie import type2_bracket
 from rpencil.poisson import linearized, sd_quadratic
 from rpencil.quadratic import a0q, jhq
-from rpencil.rmatrix import canonical_r, hecke_s
+from rpencil.rmatrix import canonical_r, hecke_s, s_w
 from rpencil.serialize import FormatError
 
 
@@ -166,3 +168,43 @@ def test_declared_shape_checked_before_allocating(obj, want):
     assert err.value.path == "$.payload.matrix"
     assert f"expected shape {want}, got {(2000000, want[1])}" in str(err.value)
     assert peak < 5 * 2**20
+
+
+def test_braid_dim_bounded_by_entries_before_allocating():
+    # a braid operator is invertible, so each of its dim^2 rows holds an
+    # entry; a file that lists fewer must fail before dim^2 rows are built
+    data = serialize.to_data(hecke_s(2))
+    data["payload"] = {
+        "dim": 300, "matrix": {"nrows": 90000, "ncols": 90000, "entries": {}}
+    }
+    text = json.dumps(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            serialize.loads(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.path == "$.payload.matrix"
+    assert "needs an entry in each of its 90000 rows, got 0" in str(err.value)
+    assert peak < 5 * 2**20
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+PINNED_FILES = {
+    "type2_bracket-3": lambda: type2_bracket(3),
+    "a0q-3": lambda: a0q(3),
+    "jhq-3": lambda: jhq(3),
+    "s_w-3": lambda: s_w(hecke_s(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FILES))
+def test_canonical_files_match_benchmark_digests(name):
+    # the benchmark's parse workload pins these files; a change to dumps or
+    # to the load path must show up here, not first in a benchmark run
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))["files"][name]
+    text = serialize.dumps(PINNED_FILES[name]())
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+    assert serialize.dumps(serialize.loads(text)) == text
