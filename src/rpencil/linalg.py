@@ -302,13 +302,17 @@ def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
 def complementary(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     """Whether the ambient space is the direct sum of a and b.
 
-    With dim a + dim b = d, a and b meet only in zero exactly when their
-    stacked bases have rank d, so one elimination of width d decides it.
+    With dim a + dim b = d, a and b meet only in zero exactly when the rows
+    of a stay independent modulo b: their residuals against b's reduced
+    basis have rank dim a.
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch(f"ambient {a.ambient_dim} vs {b.ambient_dim}")
     d = a.ambient_dim
-    return a.dim + b.dim == d and len(rref(a.rows + b.rows, d)[0]) == d
+    if a.dim + b.dim != d:
+        return False
+    basis = dict(zip(b.pivots, b.rows))
+    return len(rref([_reduce_row(row, basis) for row in a.rows], d)[0]) == a.dim
 
 
 def annihilator(s: SubspaceBasis) -> SubspaceBasis:

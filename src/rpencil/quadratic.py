@@ -13,9 +13,9 @@ from math import comb
 from .commpoly import GeneratorError
 from .freealg import FreeElement
 from .groebner import NcIdeal, complete, filtration_dims, hilbert, normal_form, quadratic_flag
-from .linalg import SubspaceBasis
+from .linalg import Mat, SubspaceBasis, image
 from .poisson import _pair_case, matrix_generators
-from .rmatrix import eigen_split, hecke_s, s_w
+from .rmatrix import hecke_s, s_w
 from .scalars import H, LAM, ONE, Q, Scalar, scalar
 
 
@@ -141,8 +141,9 @@ def a0q(n: int) -> QuadraticPresentation:
         raise ValueError("need n >= 2")
     gens, rels = _pair_relations(n, with_lower=False)
     pres = QuadraticPresentation(tuple(gens), tuple(rels), "graded")
-    i_minus, _ = eigen_split(s_w(hecke_s(n)))
-    if pres.quadratic_space() != i_minus:
+    sw = s_w(hecke_s(n))
+    # I_minus is image(S_W - id); the kernel I_plus is not needed here
+    if pres.quadratic_space() != image(sw.mat - Mat.identity(sw.dim * sw.dim)):
         raise ConsistencyError(
             "explicit relation span differs from the image of S_W - id"
         )

@@ -2,8 +2,16 @@
 
 Every scalar is stored in its canonical string form; parsing rejects
 non-canonical spellings, so serialization round-trips are exact and files
-are byte-stable.  Schema violations raise FormatError carrying the path of
-the offending field.
+are byte-stable.  Index keys ("3", "0,2") are canonical too: each part must
+equal ``str(int(part))``, so " 0", "+0", "00" and "٠" are rejected and one
+entry has one spelling.  Schema violations raise FormatError carrying the
+path of the offending field.
+
+A file repeats a few distinct scalars many times.  Each call of
+``from_data`` keeps a ``{text: Scalar}`` dict, so it parses each distinct
+text once; each call of ``to_data`` keeps a ``{Scalar: text}`` dict, so it
+prints each distinct scalar once.  Both dicts live for that call only.  A
+text that fails to parse is never stored, so its first occurrence raises.
 """
 
 from __future__ import annotations
@@ -35,26 +43,46 @@ class FormatError(Exception):
 # -- scalar / matrix / vector helpers ---------------------------------------
 
 
-def _scalar_out(c: Scalar) -> str:
-    return str(c)
+def _scalar_out(c: Scalar, texts: dict) -> str:
+    # equal Scalars print alike, since their representation is canonical
+    text = texts.get(c)
+    if text is None:
+        text = texts[c] = str(c)
+    return text
 
-def _scalar_in(text, path: str) -> Scalar:
+def _scalar_in(text, path: str, scalars: dict) -> Scalar:
+    # the type check comes first: a list is unhashable
     if not isinstance(text, str):
         raise FormatError(path, f"expected a scalar string, got {type(text).__name__}")
+    c = scalars.get(text)
+    if c is None:
+        try:
+            c = scalars[text] = Scalar.parse_canonical(text)
+        except ScalarError as exc:
+            raise FormatError(path, str(exc)) from None
+    return c
+
+
+def _indices(key, count: int, path: str, message: str) -> tuple:
+    """The count comma-separated integers of an index key, each spelled canonically."""
+    parts = key.split(",") if isinstance(key, str) else []
     try:
-        return Scalar.parse_canonical(text)
-    except ScalarError as exc:
-        raise FormatError(path, str(exc)) from None
+        out = tuple(int(p) for p in parts)
+    except ValueError:
+        raise FormatError(path, message) from None
+    if len(out) != count or any(str(i) != p for i, p in zip(out, parts)):
+        raise FormatError(path, message)
+    return out
 
 
-def _mat_out(m: Mat) -> dict:
+def _mat_out(m: Mat, texts: dict) -> dict:
     entries = {}
     for i, row in enumerate(m.rows):
         for j, v in sorted(row.items()):
-            entries[f"{i},{j}"] = _scalar_out(v)
+            entries[f"{i},{j}"] = _scalar_out(v, texts)
     return {"nrows": m.nrows, "ncols": m.ncols, "entries": entries}
 
-def _mat_in(data, path: str, shape: tuple, invertible: bool = False) -> Mat:
+def _mat_in(data, path: str, shape: tuple, scalars: dict, invertible: bool = False) -> Mat:
     """A matrix whose declared shape must equal shape, checked before allocating.
 
     An invertible matrix has an entry in every row, so its declared rows are
@@ -70,54 +98,49 @@ def _mat_in(data, path: str, shape: tuple, invertible: bool = False) -> Mat:
     m = Mat(nrows, ncols)
     for key, text in entries.items():
         here = f"{path}.entries[{key}]"
-        try:
-            i, j = (int(p) for p in key.split(","))
-        except ValueError:
-            raise FormatError(here, "entry keys must look like 'row,col'") from None
+        i, j = _indices(key, 2, here, "entry keys must look like 'row,col'")
         if not (0 <= i < nrows and 0 <= j < ncols):
             raise FormatError(here, "entry out of range")
-        m.set(i, j, _scalar_in(text, here))
+        m.set(i, j, _scalar_in(text, here, scalars))
     return m
 
 
-def _vec_out(vec: dict) -> dict:
-    return {str(i): _scalar_out(v) for i, v in sorted(vec.items())}
+def _vec_out(vec: dict, texts: dict) -> dict:
+    return {str(i): _scalar_out(v, texts) for i, v in sorted(vec.items())}
 
-def _vec_in(data, ambient: int, path: str) -> dict:
+def _vec_in(data, ambient: int, path: str, scalars: dict) -> dict:
     out = {}
     for key, text in _expect_dict(data, path).items():
         here = f"{path}[{key}]"
-        try:
-            i = int(key)
-        except ValueError:
-            raise FormatError(here, "vector keys must be integers") from None
+        (i,) = _indices(key, 1, here, "vector keys must be integers")
         if not 0 <= i < ambient:
             raise FormatError(here, "coordinate out of range")
-        out[i] = _scalar_in(text, here)
+        out[i] = _scalar_in(text, here, scalars)
     return out
 
 
-def _basis_out(s: SubspaceBasis) -> dict:
-    return {"ambient_dim": s.ambient_dim, "rows": [_vec_out(r) for r in s.rows]}
+def _basis_out(s: SubspaceBasis, texts: dict) -> dict:
+    return {"ambient_dim": s.ambient_dim, "rows": [_vec_out(r, texts) for r in s.rows]}
 
-def _basis_in(data, path: str) -> SubspaceBasis:
+def _basis_in(data, path: str, scalars: dict) -> SubspaceBasis:
     ambient = _expect_int(data, "ambient_dim", path)
     rows = _expect(data, "rows", list, path)
     return SubspaceBasis(
-        ambient, [_vec_in(r, ambient, f"{path}.rows[{k}]") for k, r in enumerate(rows)]
+        ambient,
+        [_vec_in(r, ambient, f"{path}.rows[{k}]", scalars) for k, r in enumerate(rows)],
     )
 
 
 # -- free / commutative polynomial helpers -----------------------------------
 
 
-def _free_out(f: FreeElement) -> list:
+def _free_out(f: FreeElement, texts: dict) -> list:
     return [
-        [list(w), _scalar_out(c)]
+        [list(w), _scalar_out(c, texts)]
         for w, c in sorted(f.terms.items(), key=lambda t: (len(t[0]), t[0]))
     ]
 
-def _free_in(data, generators, path: str) -> FreeElement:
+def _free_in(data, generators, path: str, scalars: dict) -> FreeElement:
     n = len(generators)
     out = FreeElement.zero(generators)
     for k, item in enumerate(_expect_list(data, path)):
@@ -128,14 +151,14 @@ def _free_in(data, generators, path: str) -> FreeElement:
         # type(...) is int: JSON true and false load as the bools True and False
         if not (isinstance(word, list) and all(type(g) is int and 0 <= g < n for g in word)):
             raise FormatError(here, "word must be a list of generator indices")
-        out = out + FreeElement.word(generators, tuple(word), _scalar_in(text, here))
+        out = out + FreeElement.word(generators, tuple(word), _scalar_in(text, here, scalars))
     return out
 
 
-def _poly_out(p: Poly) -> list:
-    return [[list(e), _scalar_out(c)] for e, c in sorted(p.terms.items())]
+def _poly_out(p: Poly, texts: dict) -> list:
+    return [[list(e), _scalar_out(c, texts)] for e, c in sorted(p.terms.items())]
 
-def _poly_in(data, generators, path: str) -> Poly:
+def _poly_in(data, generators, path: str, scalars: dict) -> Poly:
     n = len(generators)
     out = Poly.zero(generators)
     for k, item in enumerate(_expect_list(data, path)):
@@ -149,7 +172,7 @@ def _poly_in(data, generators, path: str) -> Poly:
             and all(type(e) is int and e >= 0 for e in exps)  # not bool, as above
         ):
             raise FormatError(here, f"exponent vector must have {n} nonnegative entries")
-        out = out + Poly.monomial(generators, tuple(exps), _scalar_in(text, here))
+        out = out + Poly.monomial(generators, tuple(exps), _scalar_in(text, here, scalars))
     return out
 
 
@@ -185,35 +208,36 @@ def _expect_list(data, path):
 
 def to_data(obj) -> dict:
     """The JSON-ready dictionary for any serializable object."""
+    texts: dict = {}  # Scalar -> its canonical text, for this call only
     if isinstance(obj, PoissonStructure):
         kind = "poisson"
         payload = {
             "table": {
-                f"{i},{j}": _poly_out(p) for (i, j), p in sorted(obj.table.items())
+                f"{i},{j}": _poly_out(p, texts) for (i, j), p in sorted(obj.table.items())
             }
         }
         generators = list(obj.generators)
     elif isinstance(obj, BraidOperator):
         kind = "braid"
-        payload = {"dim": obj.dim, "matrix": _mat_out(obj.mat)}
+        payload = {"dim": obj.dim, "matrix": _mat_out(obj.mat, texts)}
         generators = []
     elif isinstance(obj, RMatrixElement):
         kind = "rmatrix"
-        payload = {"dim": obj.dim, "matrix": _mat_out(obj.mat)}
+        payload = {"dim": obj.dim, "matrix": _mat_out(obj.mat, texts)}
         generators = []
     elif isinstance(obj, QuadraticPresentation):
         kind = "quadratic"
         payload = {
             "flag": obj.flag,
-            "relations": [_free_out(r) for r in obj.relations],
+            "relations": [_free_out(r, texts) for r in obj.relations],
         }
         generators = list(obj.generators)
     elif isinstance(obj, GeneralizedLieBracket):
         kind = "glie"
         payload = {
-            "i_plus": _basis_out(obj.i_plus),
-            "i_minus": _basis_out(obj.i_minus),
-            "matrix": _mat_out(obj.matrix),
+            "i_plus": _basis_out(obj.i_plus, texts),
+            "i_minus": _basis_out(obj.i_minus, texts),
+            "matrix": _mat_out(obj.matrix, texts),
         }
         generators = list(obj.generators)
     else:
@@ -236,19 +260,17 @@ def from_data(data):
     generators = tuple(raw_gens)
     payload = _expect(root, "payload", dict, "$")
     path = "$.payload"
+    scalars: dict = {}  # text -> its parsed Scalar, for this call only
 
     if kind == "poisson":
         table = {}
         N = len(generators)
         for key, val in _expect(payload, "table", dict, path).items():
             here = f"{path}.table[{key}]"
-            try:
-                i, j = (int(p) for p in key.split(","))
-            except ValueError:
-                raise FormatError(here, "table keys must look like 'i,j'") from None
+            i, j = _indices(key, 2, here, "table keys must look like 'i,j'")
             if not (0 <= i < j < N):
                 raise FormatError(here, "table keys must satisfy 0 <= i < j < dim")
-            table[(i, j)] = _poly_in(val, generators, here)
+            table[(i, j)] = _poly_in(val, generators, here, scalars)
         return PoissonStructure(generators, table)
 
     if kind in ("braid", "rmatrix"):
@@ -257,7 +279,7 @@ def from_data(data):
             raise FormatError(f"{path}.dim", "must be at least 1")
         matrix = _expect(payload, "matrix", dict, path)
         shape = (dim * dim, dim * dim)
-        mat = _mat_in(matrix, f"{path}.matrix", shape, invertible=kind == "braid")
+        mat = _mat_in(matrix, f"{path}.matrix", shape, scalars, invertible=kind == "braid")
         return BraidOperator(dim, mat) if kind == "braid" else RMatrixElement(dim, mat)
 
     if kind == "quadratic":
@@ -266,17 +288,19 @@ def from_data(data):
             raise FormatError(f"{path}.flag", f"unknown flag {flag!r}")
         rels = _expect(payload, "relations", list, path)
         relations = tuple(
-            _free_in(r, generators, f"{path}.relations[{k}]") for k, r in enumerate(rels)
+            _free_in(r, generators, f"{path}.relations[{k}]", scalars) for k, r in enumerate(rels)
         )
         try:
             return QuadraticPresentation(generators, relations, flag)
         except ValueError as exc:
             raise FormatError(f"{path}.relations", str(exc)) from None
 
-    i_plus = _basis_in(_expect(payload, "i_plus", dict, path), f"{path}.i_plus")
-    i_minus = _basis_in(_expect(payload, "i_minus", dict, path), f"{path}.i_minus")
+    i_plus = _basis_in(_expect(payload, "i_plus", dict, path), f"{path}.i_plus", scalars)
+    i_minus = _basis_in(_expect(payload, "i_minus", dict, path), f"{path}.i_minus", scalars)
     N = len(generators)
-    mat = _mat_in(_expect(payload, "matrix", dict, path), f"{path}.matrix", (N + 1, N * N))
+    mat = _mat_in(
+        _expect(payload, "matrix", dict, path), f"{path}.matrix", (N + 1, N * N), scalars
+    )
     try:
         return GeneralizedLieBracket(generators, i_plus, i_minus, mat)
     except SplittingError as exc:

@@ -4,12 +4,15 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpencil import serialize
 from rpencil.glie import type2_bracket
 from rpencil.poisson import linearized, sd_quadratic
 from rpencil.quadratic import a0q, jhq
 from rpencil.rmatrix import canonical_r, hecke_s, s_w
+from rpencil.scalars import Scalar
 from rpencil.serialize import FormatError
 
 
@@ -208,3 +211,171 @@ def test_canonical_files_match_benchmark_digests(name):
     text = serialize.dumps(PINNED_FILES[name]())
     assert hashlib.sha256(text.encode()).hexdigest() == want
     assert serialize.dumps(serialize.loads(text)) == text
+
+
+# -- canonical index keys ------------------------------------------------------
+
+
+@pytest.mark.parametrize("spelling", [" 0", "+0", "00", "0_0", "٠", "-0", "0 "])
+@pytest.mark.parametrize(
+    "obj,field,canonical",
+    [
+        (hecke_s(2), lambda p: p["matrix"]["entries"], "0,0"),
+        (type2_bracket(2), lambda p: p["i_plus"]["rows"][0], "0"),
+        (sd_quadratic(2), lambda p: p["table"], "0,1"),
+    ],
+    ids=["matrix", "vector", "poisson"],
+)
+def test_index_keys_must_be_canonical(obj, field, canonical, spelling):
+    # a second spelling of a present key must not overwrite it in silence
+    data = serialize.to_data(obj)
+    entries = field(data["payload"])
+    bad = canonical.replace("0", spelling, 1)
+    entries[bad] = entries[canonical]
+    with pytest.raises(FormatError) as err:
+        serialize.from_data(data)
+    assert err.value.path.endswith(f"[{bad}]")
+
+
+def test_braid_entry_count_cannot_be_padded():
+    # a second spelling of "0,0" used to count toward the dim^2 rows that an
+    # invertible operator must fill, so row 3 could be left empty
+    data = serialize.to_data(hecke_s(2))
+    data["payload"]["matrix"]["entries"] = {"0,0": "1", "1,1": "1", "2,2": "1", "00,0": "1"}
+    with pytest.raises(FormatError) as err:
+        serialize.from_data(data)
+    assert err.value.path == "$.payload.matrix.entries[00,0]"
+
+
+# -- per-call scalar interning -------------------------------------------------
+
+
+def _scalar_leaves(tree):
+    if isinstance(tree, dict):
+        for v in tree.values():
+            yield from _scalar_leaves(v)
+    elif isinstance(tree, list):
+        for v in tree:
+            yield from _scalar_leaves(v)
+    elif isinstance(tree, str):
+        yield tree
+
+
+def test_each_distinct_scalar_parsed_once_per_load(monkeypatch):
+    text = serialize.dumps(type2_bracket(3))
+    leaves = list(_scalar_leaves(json.loads(text)["payload"]))
+    assert (len(leaves), len(set(leaves))) == (203, 10)
+    parse, calls = Scalar.parse_canonical, []
+    monkeypatch.setattr(
+        Scalar, "parse_canonical", staticmethod(lambda t: calls.append(t) or parse(t))
+    )
+    serialize.loads(text)
+    assert sorted(calls) == sorted(set(leaves))
+    # the memo lives for one call: a second load parses again
+    serialize.loads(text)
+    assert len(calls) == 20
+
+
+def test_each_distinct_scalar_printed_once_per_dump(monkeypatch):
+    obj = type2_bracket(3)
+    want = serialize.dumps(obj)
+    show, calls = Scalar.__str__, []
+    monkeypatch.setattr(Scalar, "__str__", lambda c: calls.append(c) or show(c))
+    assert serialize.dumps(obj) == want
+    assert len(calls) == len(set(_scalar_leaves(json.loads(want)["payload"]))) == 10
+
+
+def test_repeated_bad_scalar_reports_first_occurrence():
+    data = serialize.to_data(hecke_s(2))
+    entries = data["payload"]["matrix"]["entries"]
+    first, second = list(entries)[:2]
+    entries[first] = entries[second] = "2/4"
+    with pytest.raises(FormatError) as err:
+        serialize.from_data(data)
+    assert err.value.path == f"$.payload.matrix.entries[{first}]"
+    assert "2/4" in str(err.value)
+
+
+def test_list_as_scalar_is_a_format_error():
+    # a list is unhashable: the type check must come before the memo lookup
+    data = serialize.to_data(hecke_s(2))
+    key = next(iter(data["payload"]["matrix"]["entries"]))
+    data["payload"]["matrix"]["entries"][key] = ["1"]
+    with pytest.raises(FormatError, match="expected a scalar string, got list"):
+        serialize.from_data(data)
+
+
+# -- fuzzing from_data ---------------------------------------------------------
+
+
+_TEXT = st.text(alphabet="0123456789,-+ _qhlam*/()", max_size=6) | st.sampled_from(
+    ["0,0", "0", "1", "-1", "q", "1/q", "2/4", "٠", "00"]
+)
+_LEAF = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 20)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _TEXT
+)
+_JSON = st.recursive(
+    _LEAF,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_TEXT, kids, max_size=3),
+    max_leaves=10,
+)
+_FILE = st.fixed_dictionaries({
+    "schema": st.just(1) | _JSON,
+    "kind": st.sampled_from(serialize.KINDS) | _JSON,
+    "generators": st.lists(st.sampled_from(["x0", "x1", "x2", "x3"]), max_size=4) | _JSON,
+    "payload": _JSON,
+})
+_FUZZ_OBJECTS = [sd_quadratic(2), hecke_s(2), canonical_r(2), a0q(2), jhq(2), type2_bracket(2)]
+
+
+def _nodes(tree, path=()):
+    """The path of every value under tree, in document order."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def _mutated_file(draw):
+    """A canonical file with one value, or one object key, replaced."""
+    data = json.loads(serialize.dumps(draw(st.sampled_from(_FUZZ_OBJECTS))))
+    path = draw(st.sampled_from(list(_nodes(data))))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    last = path[-1]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        parent[draw(_TEXT)] = parent.pop(last)
+    else:
+        parent[last] = draw(_JSON)
+    return data
+
+
+def _check_only_format_errors(data):
+    try:
+        obj = serialize.from_data(data)
+    except FormatError:
+        return
+    text = serialize.dumps(obj)
+    assert serialize.dumps(serialize.loads(text)) == text
+
+
+_FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@_FUZZ
+@given(_JSON | _FILE)
+def test_fuzz_random_trees(data):
+    _check_only_format_errors(data)
+
+
+@_FUZZ
+@given(_mutated_file())
+def test_fuzz_mutated_canonical_files(data):
+    _check_only_format_errors(data)
