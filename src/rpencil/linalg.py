@@ -8,7 +8,7 @@ are reduced, so one pass over a row's pivot columns suffices.
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, Scalar, scalar
+from .scalars import DEFAULT_ASSIGNMENT, ONE, ZERO, PoleError, Scalar, scalar
 
 
 class DimensionMismatch(Exception):
@@ -143,9 +143,6 @@ class Mat:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def rank(self) -> int:
-        return len(rref(self.rows, self.ncols)[0])
-
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:
             raise DimensionMismatch("only square matrices can be inverted")
@@ -164,10 +161,14 @@ class Mat:
         return out
 
     def specialize(self, assignment: dict) -> "Mat":
+        """Entrywise specialization; each distinct entry is specialized once."""
         out = Mat(self.nrows, self.ncols)
+        seen: dict = {}
         for i, row in enumerate(self.rows):
             for j, v in row.items():
-                sv = v.specialize(assignment)
+                sv = seen.get(v)
+                if sv is None:
+                    sv = seen[v] = v.specialize(assignment)
                 if sv:
                     out.rows[i][j] = sv
         return out
@@ -191,8 +192,9 @@ def rref(rows, ncols):
         row = _reduce_row(row, basis)
         if row:
             piv = min(row)
-            inv = 1 / row[piv]
-            row = {j: v * inv for j, v in row.items()}
+            if row[piv] != ONE:
+                inv = 1 / row[piv]
+                row = {j: v * inv for j, v in row.items()}
             new = {piv: row}
             for p, other in basis.items():
                 if piv in other:
@@ -305,14 +307,35 @@ def complementary(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     With dim a + dim b = d, a and b meet only in zero exactly when the rows
     of a stay independent modulo b: their residuals against b's reduced
     basis have rank dim a.
+
+    That rank is taken first at the fast-mode point ``DEFAULT_ASSIGNMENT``.
+    b's basis stays reduced there (pivots 1, zeros zero), so the residuals
+    at the point are the specialized residuals, and specializing never
+    raises a rank: rank dim a at the point proves it over Q(q, h, lam).
+    The test runs over Q(q, h, lam) only when the point loses rank or is a
+    pole of some entry.
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch(f"ambient {a.ambient_dim} vs {b.ambient_dim}")
     d = a.ambient_dim
     if a.dim + b.dim != d:
         return False
-    basis = dict(zip(b.pivots, b.rows))
-    return len(rref([_reduce_row(row, basis) for row in a.rows], d)[0]) == a.dim
+    try:
+        a_rows, b_rows = (
+            Mat(s.dim, d, s.rows).specialize(DEFAULT_ASSIGNMENT).rows for s in (a, b)
+        )
+    except PoleError:
+        pass
+    else:
+        if _independent_modulo(a_rows, b.pivots, b_rows, d):
+            return True
+    return _independent_modulo(a.rows, b.pivots, b.rows, d)
+
+
+def _independent_modulo(rows, pivots, basis_rows, d) -> bool:
+    """Whether rows stay independent modulo the reduced basis (pivots, basis_rows)."""
+    basis = dict(zip(pivots, basis_rows))
+    return len(rref([_reduce_row(row, basis) for row in rows], d)[0]) == len(rows)
 
 
 def annihilator(s: SubspaceBasis) -> SubspaceBasis:

@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpencil import linalg
+from rpencil.glie import type2_bracket
 from rpencil.linalg import (
     DimensionMismatch,
     Mat,
@@ -54,11 +57,11 @@ def test_transpose_kron():
 
 def test_rank_and_inverse():
     a = dense([[Q, 1], [0, 1]])
-    assert a.rank() == 2
+    assert len(rref(a.rows, a.ncols)[0]) == 2
     inv = a.inverse()
     assert a * inv == Mat.identity(2)
     singular = dense([[1, 2], [2, 4]])
-    assert singular.rank() == 1
+    assert len(rref(singular.rows, singular.ncols)[0]) == 1
     with pytest.raises(DimensionMismatch):
         singular.inverse()
 
@@ -119,8 +122,9 @@ def test_rank_nullity_random():
                 v = rng.randint(-2, 2)
                 if v:
                     m.set(i, j, scalar(v))
-        assert m.rank() + kernel(m).dim == 6
-        assert image(m).dim == m.rank()
+        rank = len(rref(m.rows, m.ncols)[0])
+        assert rank + kernel(m).dim == 6
+        assert image(m).dim == rank
 
 
 def test_zassenhaus_against_dimension_formula():
@@ -173,6 +177,10 @@ _INTEGER = st.integers(-3, 3).map(scalar)
 _Q_LINEAR = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
     lambda ab: scalar(ab[0]) + ab[1] * Q
 )
+# 3q - 7 vanishes at the fast-mode point q = 7/3, where 1/(3q - 7) has a pole
+_AT_POINT = 3 * Q - 7
+_VANISHING = st.one_of(_INTEGER, st.integers(-2, 2).map(lambda k: k * _AT_POINT))
+_POLE = st.one_of(_INTEGER, st.integers(-2, 2).map(lambda k: k / _AT_POINT))
 
 
 @st.composite
@@ -200,9 +208,10 @@ def test_rref_matches_dense_reference(system):
 
 @st.composite
 def _subspace_pair(draw):
-    # row counts that add up to d, or one more, so that both answers occur
+    # row counts that add up to d, or one more, so that both answers occur;
+    # the last two entry kinds make the point test fail on some complementary pairs
     d = draw(st.integers(1, 5))
-    entry = draw(st.sampled_from([_INTEGER, _Q_LINEAR]))
+    entry = draw(st.sampled_from([_INTEGER, _Q_LINEAR, _VANISHING, _POLE]))
     row = st.dictionaries(st.integers(0, d - 1), entry, min_size=1, max_size=d)
     k = draw(st.integers(0, d))
     extra = draw(st.integers(0, 1))
@@ -218,3 +227,33 @@ def test_complementary_matches_intersection(pair):
     d = a.ambient_dim
     assert complementary(a, b) == (intersect(a, b).dim == 0 and a.dim + b.dim == d)
     assert complementary(b, a) == complementary(a, b)
+
+
+def test_complementary_where_the_point_fails():
+    e0 = SubspaceBasis(2, [{0: ONE}])
+    # the residual of e0 modulo b is -(3q - 7) e1, zero at the point
+    loses_rank = SubspaceBasis(2, [{0: ONE, 1: _AT_POINT}])
+    # b's basis has an entry with a pole at the point
+    pole = SubspaceBasis(2, [{0: ONE, 1: 1 / _AT_POINT}])
+    for b in (loses_rank, pole):
+        assert complementary(e0, b) and complementary(b, e0)
+    line = SubspaceBasis(2, [{0: ONE, 1: Q}])
+    assert not complementary(line, SubspaceBasis(2, [{0: Q, 1: Q * Q}]))
+    assert not complementary(
+        SubspaceBasis(2, [{0: ONE, 1: ONE}]), SubspaceBasis(2, [{0: scalar(2), 1: scalar(2)}])
+    )
+
+
+def test_complementary_ranks_only_at_the_point(monkeypatch):
+    bracket = type2_bracket(3)
+    constant_rows = []
+
+    def recording_rref(rows, ncols):
+        constant_rows.append(
+            all(isinstance(v._f, Fraction) for row in rows for v in row.values())
+        )
+        return rref(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    assert complementary(bracket.i_plus, bracket.i_minus)
+    assert constant_rows == [True]
