@@ -119,7 +119,7 @@ def quadratic_flag(relations) -> str:
     return "graded" if all(len(w) == 2 for r in relations for w in r.terms) else "filtered"
 
 
-def complete(relations, degree_bound: int, flag: str = None) -> NcIdeal:
+def complete(relations, degree_bound: int) -> NcIdeal:
     """Inter-reduce the relations and resolve all overlaps of length <= D."""
     if degree_bound < 2:
         raise ValueError("degree bound must be at least 2")
@@ -132,8 +132,6 @@ def complete(relations, degree_bound: int, flag: str = None) -> NcIdeal:
             raise GeneratorError("relations over different generator sets")
         if r.degree() > 2:
             raise ValueError("relations must have degree <= 2")
-    if flag is None:
-        flag = quadratic_flag(relations)
 
     # Pop order: smallest leading word under deglex first, and among equal
     # leading words the most recently queued.  Degree-truncated filtered
@@ -182,7 +180,7 @@ def complete(relations, degree_bound: int, flag: str = None) -> NcIdeal:
             if other_lw != lw and other_lw[-1] in lw_earlier:
                 for s_elem in _overlap_elements(other_lw, other, lw, f, degree_bound):
                     push(s_elem)
-    return NcIdeal(generators, relations, degree_bound, flag, rules)
+    return NcIdeal(generators, relations, degree_bound, quadratic_flag(relations), rules)
 
 
 def _subwords(g: FreeElement, lw) -> set:

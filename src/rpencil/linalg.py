@@ -307,35 +307,38 @@ def complementary(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     With dim a + dim b = d, a and b meet only in zero exactly when the rows
     of a stay independent modulo b: their residuals against b's reduced
     basis have rank dim a.
-
-    That rank is taken first at the fast-mode point ``DEFAULT_ASSIGNMENT``.
-    b's basis stays reduced there (pivots 1, zeros zero), so the residuals
-    at the point are the specialized residuals, and specializing never
-    raises a rank: rank dim a at the point proves it over Q(q, h, lam).
-    The test runs over Q(q, h, lam) only when the point loses rank or is a
-    pole of some entry.
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch(f"ambient {a.ambient_dim} vs {b.ambient_dim}")
-    d = a.ambient_dim
-    if a.dim + b.dim != d:
-        return False
+    return a.dim + b.dim == a.ambient_dim and _rank_modulo_reaches(a.rows, b, a.dim)
+
+
+def _rank_modulo_reaches(rows, b: SubspaceBasis, target: int) -> bool:
+    """Whether the residuals of rows against b's reduced basis have rank target.
+
+    The caller knows that rank is at most target.  It is taken first at the
+    fast-mode point ``DEFAULT_ASSIGNMENT``.  b's basis stays reduced there
+    (pivots 1, zeros zero), so the residuals at the point are the specialized
+    residuals, and specializing never raises a rank: rank target at the
+    point proves it over Q(q, h, lam).  The rank is taken over Q(q, h, lam)
+    only when the point falls short or is a pole of some entry.
+    """
+    d = b.ambient_dim
+
+    def rank(vecs, basis_rows):
+        basis = dict(zip(b.pivots, basis_rows))
+        return len(rref([_reduce_row(v, basis) for v in vecs], d)[0])
+
     try:
-        a_rows, b_rows = (
-            Mat(s.dim, d, s.rows).specialize(DEFAULT_ASSIGNMENT).rows for s in (a, b)
+        point_rows, point_basis = (
+            Mat(len(r), d, r).specialize(DEFAULT_ASSIGNMENT).rows for r in (rows, b.rows)
         )
     except PoleError:
         pass
     else:
-        if _independent_modulo(a_rows, b.pivots, b_rows, d):
+        if rank(point_rows, point_basis) == target:
             return True
-    return _independent_modulo(a.rows, b.pivots, b.rows, d)
-
-
-def _independent_modulo(rows, pivots, basis_rows, d) -> bool:
-    """Whether rows stay independent modulo the reduced basis (pivots, basis_rows)."""
-    basis = dict(zip(pivots, basis_rows))
-    return len(rref([_reduce_row(row, basis) for row in rows], d)[0]) == len(rows)
+    return rank(rows, b.rows) == target
 
 
 def annihilator(s: SubspaceBasis) -> SubspaceBasis:

@@ -48,7 +48,7 @@ class QuadraticPresentation:
         return SubspaceBasis(n * n, rows)
 
     def to_ideal(self, degree_bound: int) -> NcIdeal:
-        return complete(list(self.relations), degree_bound, flag=self.flag)
+        return complete(list(self.relations), degree_bound)
 
     def specialize(self, assignment: dict) -> "QuadraticPresentation":
         return QuadraticPresentation(

@@ -134,31 +134,13 @@ def canonical_r_sp(dim: int) -> RMatrixElement:
     return RMatrixElement(dim, mat)
 
 
-def _embed_pair(mat: Mat, n: int, pos: tuple) -> Mat:
-    """Embed an n^2 x n^2 two-site operator into three sites at positions pos."""
-    out = Mat(n**3, n**3)
-    other = ({0, 1, 2} - set(pos)).pop()
-    for r, row in enumerate(mat.rows):
-        r1, r2 = divmod(r, n)
-        for c, v in row.items():
-            c1, c2 = divmod(c, n)
-            for k in range(n):
-                idx_r = [0, 0, 0]
-                idx_c = [0, 0, 0]
-                idx_r[pos[0]], idx_r[pos[1]], idx_r[other] = r1, r2, k
-                idx_c[pos[0]], idx_c[pos[1]], idx_c[other] = c1, c2, k
-                rr = (idx_r[0] * n + idx_r[1]) * n + idx_r[2]
-                cc = (idx_c[0] * n + idx_c[1]) * n + idx_c[2]
-                out.add_to(rr, cc, v)
-    return out
-
-
 def schouten(r: RMatrixElement) -> Mat:
     """[[R,R]] = [R12,R13] + [R12,R23] + [R13,R23] on the triple tensor power."""
-    n = r.dim
-    r12 = _embed_pair(r.mat, n, (0, 1))
-    r13 = _embed_pair(r.mat, n, (0, 2))
-    r23 = _embed_pair(r.mat, n, (1, 2))
+    eye = Mat.identity(r.dim)
+    r12 = r.mat.kron(eye)
+    r23 = eye.kron(r.mat)
+    p23 = eye.kron(_flip(r.dim))
+    r13 = p23 * r12 * p23
     def comm(x, y):
         return x * y - y * x
     return comm(r12, r13) + comm(r12, r23) + comm(r13, r23)

@@ -20,7 +20,7 @@ from . import quadratic as _quadratic
 from . import rmatrix as _rmatrix
 from .commpoly import Poly
 from .freealg import FreeElement
-from .linalg import Mat, SubspaceBasis, complementary, intersect
+from .linalg import Mat, SubspaceBasis, _rank_modulo_reaches, complementary
 from .scalars import DEFAULT_ASSIGNMENT, H, LAM, ONE, Q, Scalar
 
 SUITES = ("pencil-type1", "pencil-type2", "quantum-type2", "glie", "all")
@@ -257,9 +257,7 @@ def _suite_glie(n, degree, assign, rng, checks):
     checks.add(
         "overlap-dimension", overlap.dim == comb(N, 3), dim=overlap.dim, expected=comb(N, 3)
     )
-    checks.add(
-        "overlap-oracle-agreement", overlap == _overlap_by_intersection(g.i_minus)
-    )
+    checks.add("overlap-oracle-agreement", _overlap_certified(g))
 
     for row in g.i_plus.rows:
         if any(g.bracket(row).values()):
@@ -359,17 +357,22 @@ def _glie_section5_checks(assign, g, checks):
     )
 
 
-def _overlap_by_intersection(i: SubspaceBasis) -> SubspaceBasis:
-    """Independent overlap computation: span I(x)V and V(x)I, intersect."""
-    NN = i.ambient_dim
-    N = int(round(NN**0.5))
-    left = []
-    right = []
-    for row in i.rows:
-        for c in range(N):
-            left.append({ab * N + c: v for ab, v in row.items()})
-            right.append({c * NN + ab: v for ab, v in row.items()})
-    return intersect(SubspaceBasis(N**3, left), SubspaceBasis(N**3, right))
+def _overlap_certified(g) -> bool:
+    """Whether g.overlap is exactly I(x)V intersect V(x)I, with I = g.i_minus.
+
+    (a) Every overlap row lies in I(x)V and in V(x)I, so the intersection has
+    dimension at least k = dim overlap.  (b) The intersection has dimension
+    N dim I - r, r the rank of V(x)I's rows modulo I(x)V; by (a) r is at most
+    N dim I - k, and r reaching it proves equality.
+    """
+    i, overlap = g.i_minus, g.overlap
+    eye = Mat.identity(g.dim)
+    rows = Mat(i.dim, i.ambient_dim, i.rows)
+    left = SubspaceBasis(g.dim * i.ambient_dim, rows.kron(eye).rows)
+    right = SubspaceBasis(g.dim * i.ambient_dim, eye.kron(rows).rows)
+    return all(
+        left.contains(row) and right.contains(row) for row in overlap.rows
+    ) and _rank_modulo_reaches(right.rows, left, g.dim * i.dim - overlap.dim)
 
 
 def _opt(witness):

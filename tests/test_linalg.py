@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpencil import linalg
@@ -19,6 +20,7 @@ from rpencil.linalg import (
     rref,
 )
 from rpencil.scalars import ONE, Q, ZERO, Scalar, scalar
+from rpencil.suites import _overlap_certified
 
 
 def dense(rows):
@@ -257,3 +259,51 @@ def test_complementary_ranks_only_at_the_point(monkeypatch):
     monkeypatch.setattr(linalg, "rref", recording_rref)
     assert complementary(bracket.i_plus, bracket.i_minus)
     assert constant_rows == [True]
+
+
+@st.composite
+def _overlap_case(draw):
+    # a random I in V(x)V, dim V = 2 or 3, spanned by sparse rows and by
+    # products u(x)w, so that the overlap is often nonzero, plus the material
+    # for three wrong overlaps
+    N = draw(st.sampled_from([2, 3]))
+    entry = draw(st.sampled_from([_INTEGER, _Q_LINEAR, _VANISHING, _POLE]))
+    vec = st.dictionaries(st.integers(0, N - 1), entry, min_size=1, max_size=2)
+    tensor = st.tuples(vec, vec).map(
+        lambda uw: {a * N + b: x * y for a, x in uw[0].items() for b, y in uw[1].items()}
+    )
+    sparse = st.dictionaries(st.integers(0, N * N - 1), entry, min_size=1, max_size=2)
+    i = SubspaceBasis(N * N, draw(st.lists(st.one_of(tensor, sparse), max_size=N * N)))
+    foreign = draw(st.dictionaries(st.integers(0, N**3 - 1), entry, min_size=1, max_size=3))
+    return N, i, foreign, draw(st.integers(0, 30))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_overlap_case())
+# I = e0(x)(e0 + (3q - 7) e1) has overlap zero; at the point I = e0(x)e0,
+# whose overlap e0(x)e0(x)e0 makes the rank there fall short
+@example((2, SubspaceBasis(4, [{0: ONE, 1: _AT_POINT}]), {0: ONE}, 0))
+def test_overlap_certificate_matches_intersection(case):
+    N, i, foreign, pick = case
+    # I(x)V and V(x)I spanned index by index, not with kron as the certificate
+    left = SubspaceBasis(
+        N**3, [{ab * N + c: v for ab, v in row.items()} for row in i.rows for c in range(N)]
+    )
+    right = SubspaceBasis(
+        N**3, [{a * N * N + bc: v for bc, v in row.items()} for row in i.rows for a in range(N)]
+    )
+    truth = intersect(left, right)
+    true_rows = truth.rows
+    j = pick % max(truth.dim, 1)
+    candidates = [
+        true_rows,
+        true_rows[:j] + true_rows[j + 1 :],
+        true_rows[:j] + [foreign] + true_rows[j + 1 :],
+    ]
+    left_only = next((r for r in left.rows if not right.contains(r)), None)
+    if left_only is not None:
+        candidates.append(true_rows[:j] + [left_only] + true_rows[j + 1 :])
+    for cand_rows in candidates:
+        overlap = SubspaceBasis(N**3, cand_rows)
+        g = SimpleNamespace(i_minus=i, overlap=overlap, dim=N)
+        assert _overlap_certified(g) == (overlap == truth)

@@ -104,9 +104,9 @@ def completions(monkeypatch):
     """The degree bounds of the completions same_ideal asks for."""
     calls = []
 
-    def counting(relations, degree_bound, flag=None):
+    def counting(relations, degree_bound):
         calls.append(degree_bound)
-        return complete(relations, degree_bound, flag=flag)
+        return complete(relations, degree_bound)
 
     monkeypatch.setattr(quadratic, "complete", counting)
     return calls

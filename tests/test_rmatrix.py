@@ -43,6 +43,40 @@ def test_modified_fails_for_wrong_weighting():
     assert not is_modified(broken, sl_fundamental(3))
 
 
+def _embed_pair(mat: Mat, n: int, pos: tuple) -> Mat:
+    """Reference three-site embedding: each entry of an n^2 x n^2 two-site
+    operator placed at the sites pos, the identity on the third site."""
+    out = Mat(n**3, n**3)
+    other = ({0, 1, 2} - set(pos)).pop()
+    for r, row in enumerate(mat.rows):
+        r1, r2 = divmod(r, n)
+        for c, v in row.items():
+            c1, c2 = divmod(c, n)
+            for k in range(n):
+                idx_r = [0, 0, 0]
+                idx_c = [0, 0, 0]
+                idx_r[pos[0]], idx_r[pos[1]], idx_r[other] = r1, r2, k
+                idx_c[pos[0]], idx_c[pos[1]], idx_c[other] = c1, c2, k
+                rr = (idx_r[0] * n + idx_r[1]) * n + idx_r[2]
+                cc = (idx_c[0] * n + idx_c[1]) * n + idx_c[2]
+                out.add_to(rr, cc, v)
+    return out
+
+
+@pytest.mark.parametrize(
+    "make,n",
+    [(canonical_r, 2), (canonical_r, 3), (canonical_r, 4), (canonical_r_sp, 2), (canonical_r_sp, 4)],
+)
+def test_schouten_matches_embedded_reference(make, n):
+    r = make(n)
+    r12, r13, r23 = (_embed_pair(r.mat, n, pos) for pos in ((0, 1), (0, 2), (1, 2)))
+
+    def comm(x, y):
+        return x * y - y * x
+
+    assert schouten(r) == comm(r12, r13) + comm(r12, r23) + comm(r13, r23)
+
+
 def test_sp_canonical_r():
     for dim in (2, 4):
         r = canonical_r_sp(dim)

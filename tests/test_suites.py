@@ -106,6 +106,28 @@ def test_glie_builds_one_overlap_space(monkeypatch):
     assert len(calls) == 1
 
 
+def test_glie_runs_make_no_intersect_call(monkeypatch):
+    # the overlap-oracle-agreement check certifies the overlap by a rank
+    # test; the Zassenhaus intersection is a reference for the tests only
+    import sys
+
+    from rpencil import linalg
+
+    real = linalg.intersect
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rpencil") and getattr(module, "intersect", None) is real:
+            monkeypatch.setattr(module, "intersect", counted)
+    assert run_suite("glie", 2, None, "exact", 0)["verdict"] == "pass"
+    assert run_suite("glie", 3, None, "fast", 0)["verdict"] == "pass"
+    assert calls == []
+
+
 def test_glie_fast_builds_bracket_at_the_point(monkeypatch):
     # fast mode specializes the bracket's inputs, so every bracket it builds,
     # the run's own and those of the constructor checks, is already rational
