@@ -45,11 +45,10 @@ class DegreeBoundExceeded(Exception):
 class NcIdeal:
     """A two-sided ideal with a rewriting system confluent up to a degree bound."""
 
-    __slots__ = ("generators", "relations", "degree_bound", "flag", "rules")
+    __slots__ = ("generators", "degree_bound", "flag", "rules")
 
-    def __init__(self, generators, relations, degree_bound, flag, rules):
+    def __init__(self, generators, degree_bound, flag, rules):
         self.generators = tuple(generators)
-        self.relations = list(relations)
         self.degree_bound = degree_bound
         self.flag = flag
         self.rules = rules  # leading word -> monic FreeElement
@@ -180,7 +179,7 @@ def complete(relations, degree_bound: int) -> NcIdeal:
             if other_lw != lw and other_lw[-1] in lw_earlier:
                 for s_elem in _overlap_elements(other_lw, other, lw, f, degree_bound):
                     push(s_elem)
-    return NcIdeal(generators, relations, degree_bound, quadratic_flag(relations), rules)
+    return NcIdeal(generators, degree_bound, quadratic_flag(relations), rules)
 
 
 def _subwords(g: FreeElement, lw) -> set:

@@ -227,7 +227,7 @@ def _reduce_row(row: dict, basis: dict) -> dict:
 class SubspaceBasis:
     """A subspace of k^ambient_dim held as a canonical (RREF) basis."""
 
-    __slots__ = ("ambient_dim", "rows", "pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
 
     def __init__(self, ambient_dim: int, rows):
         self.ambient_dim = ambient_dim
@@ -235,6 +235,7 @@ class SubspaceBasis:
             if any(j < 0 or j >= ambient_dim for j in r):
                 raise DimensionMismatch("vector exceeds ambient dimension")
         self.rows, self.pivots = rref(rows, ambient_dim)
+        self._basis = dict(zip(self.pivots, self.rows))  # pivot column -> row
 
     @property
     def dim(self) -> int:
@@ -247,7 +248,7 @@ class SubspaceBasis:
         """Residual of vec after reduction against the basis (zero iff member)."""
         if any(j < 0 or j >= self.ambient_dim for j in vec):
             raise DimensionMismatch("vector exceeds ambient dimension")
-        return _reduce_row(vec, dict(zip(self.pivots, self.rows)))
+        return _reduce_row(vec, self._basis)
 
     def __eq__(self, other):
         if not isinstance(other, SubspaceBasis):

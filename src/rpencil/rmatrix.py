@@ -277,23 +277,13 @@ def s_w(s: BraidOperator) -> BraidOperator:
         sinv = s.mat.inverse()
     except DimensionMismatch:
         raise DimensionMismatch("braid operator is singular") from None
+    # S (x) S^-T is indexed by the legs (m, n, p, q); W (x) W by (m, p, n, q)
     N = n * n
+    r = range(n)
+    legs = [(a * n + c) * N + b * n + d for a in r for b in r for c in r for d in r]
     out = Mat(N * N, N * N)
-    s_cols = s.mat.transpose().rows
-    sinv_rows = sinv.rows
-    for i in range(n):
-        for j in range(n):
-            s_entries = [(divmod(rr, n), v) for rr, v in s_cols[i * n + j].items()]
-            for k in range(n):
-                for l in range(n):
-                    col = (i * n + k) * N + (j * n + l)
-                    for (p, qq), w in (
-                        (divmod(cc, n), v)
-                        for cc, v in sinv_rows[k * n + l].items()
-                    ):
-                        for (m, nn), v in s_entries:
-                            row = (m * n + p) * N + (nn * n + qq)
-                            out.add_to(row, col, v * w)
+    for i, row in enumerate(s.mat.kron(sinv.transpose()).rows):
+        out.rows[legs[i]] = {legs[j]: v for j, v in row.items()}
     return BraidOperator(N, out)
 
 

@@ -341,9 +341,15 @@ def _eval_poly(poly, images):
 
 # -- parser ---------------------------------------------------------------
 
-#: largest exponent Scalar.parse accepts; canonical forms in this package
-#: stay far below it, and it bounds the work an untrusted file can request
+#: largest exponent literal Scalar.parse accepts; canonical forms in this
+#: package stay far below it
 _MAX_EXPONENT = 100
+
+#: bound on the work Scalar.parse does for an untrusted string: no product
+#: it forms may have factors whose term counts multiply, or whose largest
+#: coefficients' bit lengths add, to more than this, and no power of a
+#: monomial may have more coefficient bits or a higher degree
+_MAX_WORK = 10_000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\*\*|[-+*/()]))", re.ASCII)
 
@@ -398,7 +404,7 @@ class _Parser:
             op = self.take()
             n2, d2 = self.product()
             if den != d2:
-                num, n2, den = num * d2, n2 * den, den * d2
+                num, n2, den = self.mul(num, d2), self.mul(n2, den), self.mul(den, d2)
             num = num + n2 if op == "+" else num - n2
         return num, den
 
@@ -408,11 +414,11 @@ class _Parser:
             op = self.take()
             n2, d2 = self.unary()
             if op == "*":
-                num, den = num * n2, den * d2
+                num, den = self.mul(num, n2), self.mul(den, d2)
             elif not n2:
                 self.fail("division by zero")
             else:
-                num, den = num * d2, den * n2
+                num, den = self.mul(num, d2), self.mul(den, n2)
         return num, den
 
     def unary(self):
@@ -430,9 +436,29 @@ class _Parser:
             if not exp.isdigit() or len(exp) > 3 or int(exp) > _MAX_EXPONENT:
                 self.fail(f"exponent must be an integer literal from 0 to {_MAX_EXPONENT}")
             exp = int(exp)
-            # 0**0 is 1, as in Python; sympy's polynomials raise on it
-            num, den = (num**exp, den**exp) if exp else (_RING.one, _RING.one)
+            num, den = self.pow(num, exp), self.pow(den, exp)
         return num, den
+
+    def mul(self, a, b):
+        """a*b, refused before it is formed if it exceeds _MAX_WORK."""
+        bits = int(a.max_norm()).bit_length() + int(b.max_norm()).bit_length()
+        if len(a) * len(b) > _MAX_WORK or bits > _MAX_WORK:
+            self.fail("value too large")
+        return a * b
+
+    def pow(self, a, exp: int):
+        """a**exp; a monomial's power is taken at once, any other by repeated
+        multiplication, so each step is checked.  0**0 is 1, as in Python.
+        """
+        if len(a) == 1:
+            ((monom, coeff),) = a.items()
+            if max(int(coeff).bit_length(), sum(monom)) * exp > _MAX_WORK:
+                self.fail("value too large")
+            return a**exp
+        out = _RING.one
+        for _ in range(exp):
+            out = self.mul(out, a)
+        return out
 
     def atom(self):
         tok = self.take()

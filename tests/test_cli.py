@@ -6,6 +6,7 @@ from rpencil import serialize
 from rpencil.cli import main
 from rpencil.poisson import sd_quadratic
 from rpencil.quadratic import a0q
+from rpencil.rmatrix import hecke_s
 
 
 def test_run_pass(capsys):
@@ -120,6 +121,21 @@ def test_parse_unreadable_file_exits_2(tmp_path, capsys, content, reason):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: $: ")
     assert reason in lines[0]
+
+
+@pytest.mark.parametrize("text", ["((2**100)**100)**2", "((q+h+lam+1)**20)**3"])
+def test_parse_oversized_scalar_exits_2(tmp_path, capsys, text):
+    data = serialize.to_data(hecke_s(2))
+    data["payload"]["matrix"]["entries"]["1,2"] = text
+    path = tmp_path / "braid.json"
+    path.write_text(json.dumps(data))
+    assert main(["parse", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: $.payload.matrix.entries[1,2]: ")
+    assert lines[0].endswith("value too large")
 
 
 def test_math_failure_exits_1(monkeypatch, capsys):

@@ -11,6 +11,7 @@ from rpencil.glie import (
     check_axiom8,
     classical_glie,
     enveloping,
+    from_presentation,
     overlap_space,
     random_bracket,
     slie_jacobi_check,
@@ -18,8 +19,8 @@ from rpencil.glie import (
 )
 from rpencil.linalg import Mat, SubspaceBasis
 from rpencil.quadratic import certify_flat_filtered, a0q, jhq, same_ideal
-from rpencil.rmatrix import flip_operator
-from rpencil.scalars import H, ONE, Q, Scalar
+from rpencil.rmatrix import eigen_split, flip_operator, hecke_s, s_w
+from rpencil.scalars import DEFAULT_ASSIGNMENT, H, ONE, Q, ZERO, Scalar
 
 
 def test_splitting_validation():
@@ -88,6 +89,122 @@ def test_axioms():
         assert ok, witness
         ok, witness = check_axiom8(g)
         assert ok, witness
+
+
+def _reference_partial_brackets(g, w):
+    """(b (x) id - id (x) b)(w) for one cube vector, entry by entry:
+    (quadratic part, linear part)."""
+    N = g.dim
+    cols = g.matrix.transpose().rows
+    quad: dict = {}
+    lin: dict = {}
+
+    def acc(store, idx, val):
+        s = store.get(idx, ZERO) + val
+        if s:
+            store[idx] = s
+        else:
+            store.pop(idx, None)
+
+    for idx, c in w.items():
+        xy, z = divmod(idx, N)
+        for r, v in cols[xy].items():
+            if r < N:
+                acc(quad, r * N + z, v * c)
+            else:
+                acc(lin, z, v * c)
+        x, yz = divmod(idx, N * N)
+        for r, v in cols[yz].items():
+            if r < N:
+                acc(quad, x * N + r, -(v * c))
+            else:
+                acc(lin, x, -(v * c))
+    return quad, lin
+
+
+def _reference_axiom7(g):
+    for pos, w in enumerate(g.overlap.rows):
+        quad, _ = _reference_partial_brackets(g, w)
+        if not g.i_minus.contains(quad):
+            return False, {"overlap_index": pos, "residual": g.i_minus.reduce(quad)}
+    return True, None
+
+
+def _reference_axiom8(g):
+    for pos, w in enumerate(g.overlap.rows):
+        quad, lin = _reference_partial_brackets(g, w)
+        total = g.bracket(quad)
+        for idx, c in lin.items():
+            s = total.get(idx, ZERO) + c
+            if s:
+                total[idx] = s
+            else:
+                total.pop(idx, None)
+        if total:
+            return False, {"overlap_index": pos, "residual": total}
+    return True, None
+
+
+def _fast_type2(n):
+    hecke = hecke_s(n).specialize(DEFAULT_ASSIGNMENT)
+    i_plus = eigen_split(s_w(hecke))[1]
+    return from_presentation(jhq(n).specialize(DEFAULT_ASSIGNMENT), i_plus)
+
+
+def _constant_shifted(g, k):
+    """g with 1 added to the constant slot of relation value k."""
+    pairs = []
+    for pos, row in enumerate(g.i_minus.rows):
+        value = g.bracket(row)
+        if pos == k:
+            value[g.dim] = value.get(g.dim, ZERO) + ONE
+        pairs.append((row, value))
+    return GeneralizedLieBracket.from_relation_values(g.generators, g.i_plus, pairs)
+
+
+def _random_on(g, seed):
+    return random_bracket(g.i_plus, g.i_minus, g.generators, seed)
+
+
+@pytest.mark.parametrize(
+    "make,fails",
+    [
+        (lambda: type2_bracket(2), (None, None)),
+        (lambda: type2_bracket(3), (None, None)),
+        (lambda: _fast_type2(2), (None, None)),
+        (lambda: _fast_type2(3), (None, None)),
+        (lambda: classical_glie(2), (None, None)),
+    ]
+    # on the skew splitting axiom 7 holds for every bracket: the overlap is
+    # the exterior cube, which b (x) id - id (x) b maps into the skew square
+    + [(lambda s=s: _random_on(classical_glie(2), s), (None, 0)) for s in range(4)]
+    + [(lambda s=s: _random_on(type2_bracket(2), s), (0, 0)) for s in range(4)]
+    + [
+        (lambda k=k: _constant_shifted(classical_glie(2), k), (None, row))
+        for k, row in ((0, 1), (1, 2), (4, 1), (5, 2))
+    ]
+    + [
+        (lambda k=k: _constant_shifted(type2_bracket(2), k), (None, row))
+        for k, row in ((0, 0), (1, 0), (2, None), (3, 0), (4, 1), (5, 2))
+    ],
+    ids=["type2-2", "type2-3", "fast-type2-2", "fast-type2-3", "classical"]
+    + [f"random-classical-{s}" for s in range(4)]
+    + [f"random-type2-{s}" for s in range(4)]
+    + [f"classical-constant-{k}" for k in (0, 1, 4, 5)]
+    + [f"type2-constant-{k}" for k in range(6)],
+)
+def test_axioms_match_reference(make, fails):
+    # the kron-built operators against the entry-by-entry reference, verdict
+    # and witness both; fails gives the overlap row each axiom fails at
+    g = make()
+    for check, reference, row in zip(
+        (check_axiom7, check_axiom8), (_reference_axiom7, _reference_axiom8), fails
+    ):
+        got = check(g)
+        assert got == reference(g)
+        assert got[0] == (row is None)
+        if row is not None:
+            assert got[1]["overlap_index"] == row
 
 
 def test_axioms_detect_doubled_value():

@@ -84,8 +84,8 @@ GENS4 = a0q(2).generators
 
 
 def test_specialize_recompletes():
-    ideal = complete([X * Y - Q * (Y * X)], 3)
-    specialized = complete([r.specialize({"q": 2}) for r in ideal.relations], 3)
+    relations = [X * Y - Q * (Y * X)]
+    specialized = complete([r.specialize({"q": 2}) for r in relations], 3)
     assert hilbert(specialized, 3) == 4
     assert normal_form(specialized, Y * X) == (scalar(1) / 2) * (X * Y)
 

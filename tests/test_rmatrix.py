@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rpencil.linalg import Mat, intersect, rref
+from rpencil.linalg import DimensionMismatch, Mat, intersect, rref
 from rpencil.poisson import sd_quadratic
 from rpencil.rmatrix import (
+    BraidOperator,
     canonical_r,
     canonical_r_sp,
     eigen_split,
@@ -17,7 +20,7 @@ from rpencil.rmatrix import (
     sl_fundamental,
     sp_fundamental,
 )
-from rpencil.scalars import ONE, Q, Scalar
+from rpencil.scalars import DEFAULT_ASSIGNMENT, ONE, Q, Scalar
 
 
 def test_canonical_r_antisymmetric():
@@ -123,6 +126,61 @@ def test_flip_involutive_and_qybe():
 def test_s_w_qybe():
     for n in (2, 3):
         assert qybe_check(s_w(hecke_s(n)))
+
+
+def _reference_s_w(s: BraidOperator) -> BraidOperator:
+    """S_W entry by entry: S_W(a_i^k (x) a_j^l) =
+    S^{mn}_{ij} (S^{-1})^{kl}_{pq} (a_m^p (x) a_n^q)."""
+    n = s.dim
+    try:
+        sinv = s.mat.inverse()
+    except DimensionMismatch:
+        raise DimensionMismatch("braid operator is singular") from None
+    N = n * n
+    out = Mat(N * N, N * N)
+    s_cols = s.mat.transpose().rows
+    for i in range(n):
+        for j in range(n):
+            s_entries = [(divmod(rr, n), v) for rr, v in s_cols[i * n + j].items()]
+            for k in range(n):
+                for l in range(n):
+                    col = (i * n + k) * N + (j * n + l)
+                    for cc, w in sinv.rows[k * n + l].items():
+                        p, qq = divmod(cc, n)
+                        for (m, nn), v in s_entries:
+                            out.add_to((m * n + p) * N + (nn * n + qq), col, v * w)
+    return BraidOperator(N, out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("fast", [False, True], ids=["exact", "fast"])
+def test_s_w_matches_reference_hecke(n, fast):
+    s = hecke_s(n)
+    if fast:
+        s = s.specialize(DEFAULT_ASSIGNMENT)
+    assert s_w(s) == _reference_s_w(s)
+
+
+@st.composite
+def _integer_braid(draw):
+    n = draw(st.integers(2, 3))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=n**4, max_size=n**4))
+    rows = [entries[r * n * n:(r + 1) * n * n] for r in range(n * n)]
+    return BraidOperator(n, Mat.from_dense(rows))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_integer_braid())
+@example(BraidOperator(2, Mat(4, 4)))
+def test_s_w_matches_reference_random(s):
+    try:
+        expected = _reference_s_w(s)
+    except DimensionMismatch as exc:
+        assert str(exc) == "braid operator is singular"
+        with pytest.raises(DimensionMismatch, match="^braid operator is singular$"):
+            s_w(s)
+    else:
+        assert s_w(s) == expected
 
 
 def test_eigen_split_dimensions():

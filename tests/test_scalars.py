@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,26 @@ def test_parse_follows_python_precedence():
 def test_parse_rejects(text):
     with pytest.raises(ScalarError):
         Scalar.parse(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["((2**100)**100)**2", "((q+h+lam+1)**20)**3", "((q+h+lam+1)**20)**5", "((q**100)**100)**2"],
+)
+def test_parse_bounds_its_work(text):
+    # each string is short, but its value has a coefficient, a term count
+    # or a degree far too large to build; it is refused before it is formed
+    start = time.perf_counter()
+    with pytest.raises(ScalarError, match="value too large"):
+        Scalar.parse(text)
+    assert time.perf_counter() - start < 1
+
+
+def test_parse_accepts_values_within_the_work_bound():
+    assert Scalar.parse("(q+1)**100") == (Q + 1) ** 100
+    assert Scalar.parse("(q**100)**100") == Q**10000
+    assert Scalar.parse("(2**100)**99") == Scalar(2**9900)
+    assert Scalar.parse("(q-q)**0") == 1
 
 
 def test_specialize():
