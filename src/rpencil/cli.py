@@ -2,7 +2,10 @@
 
 Exit codes: 0 when every check passes, 1 when a mathematical check fails,
 2 for usage, file-format or I/O errors (including an unwritable ``--out``
-path, which is detected before anything is printed).
+path, which is detected before anything is printed), 3 when a suite stops
+on an internal error (for example a ``PoleError`` or ``DegreeBoundExceeded``
+raised inside it).  Every error is one ``error: ...`` line on stderr, never
+a traceback.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .suites import SUITES, SuiteError, run_suite
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,6 +90,10 @@ def main(argv=None) -> int:
     except SuiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # any other failure inside a suite is an internal error
+        reason = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: suite {args.suite} stopped: {reason}", file=sys.stderr)
+        return EXIT_INTERNAL
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         try:

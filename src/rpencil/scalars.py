@@ -6,8 +6,8 @@ canonical, so equality of Scalars is equality of representations:
 
 - a value free of the parameters is always held as a ``fractions.Fraction``
   (constant <=> Fraction), so it hashes like the equal int or Fraction and
-  its arithmetic never reaches sympy;
-- any other value is held as an element of sympy's ``ZZ(q,h,lam)`` with
+  its arithmetic never forms a polynomial;
+- any other value is held as a ``ratfunc.RatFunc`` in Z(q,h,lam) with
   numerator and denominator coprime and the denominator's leading
   coefficient positive under lex order with q > h > lam.
 
@@ -22,15 +22,10 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from sympy import ZZ
-from sympy.polys.fields import field
+from . import ratfunc
+from .ratfunc import RatFunc
 
-PARAMETERS = ("q", "h", "lam")
-
-_FIELD, _Q, _H, _LAM = field(",".join(PARAMETERS), ZZ)
-_RING = _FIELD.ring
-_GENS = {"q": _Q, "h": _H, "lam": _LAM}
-_FRAC_ELEMENT = type(_Q)
+PARAMETERS = ratfunc.NAMES
 
 #: default generic specialization used by fast mode
 DEFAULT_ASSIGNMENT = {"q": Fraction(7, 3), "h": Fraction(2, 5), "lam": Fraction(1)}
@@ -60,8 +55,8 @@ def _operand(value):
 def _demote(f):
     """Canonical internal value of a canonical field element."""
     numer, denom = f.numer, f.denom
-    if numer.is_ground and denom.is_ground:
-        return Fraction(int(numer.LC), int(denom.LC))
+    if ratfunc.is_ground(numer) and ratfunc.is_ground(denom):
+        return Fraction(numer.get(ratfunc.CONST, 0), denom[ratfunc.CONST])
     return f
 
 
@@ -73,10 +68,11 @@ def _mul_ground(f, c):
     """
     a, b = c.numerator, c.denominator
     numer, denom = f.numer, f.denom
-    g = gcd(a, denom.content())
-    h = gcd(b, numer.content())
-    return f.raw_new(
-        numer.quo_ground(h).mul_ground(a // g), denom.quo_ground(g).mul_ground(b // h)
+    g = gcd(a, ratfunc.content(denom))
+    h = gcd(b, ratfunc.content(numer))
+    return RatFunc(
+        ratfunc.mul_ground(ratfunc.quo_ground(numer, h), a // g),
+        ratfunc.mul_ground(ratfunc.quo_ground(denom, g), b // h),
     )
 
 
@@ -89,19 +85,19 @@ def _add_ground(f, c):
     a, b = c.numerator, c.denominator
     numer, denom = f.numer, f.denom
     if b == 1:
-        return f.raw_new(numer + denom.mul_ground(a), denom)
-    top = numer.mul_ground(b) + denom.mul_ground(a)
-    bottom = denom.mul_ground(b)
-    g = gcd(top.content(), b * denom.content())
-    return f.raw_new(top.quo_ground(g), bottom.quo_ground(g))
+        return RatFunc(ratfunc.add(numer, ratfunc.mul_ground(denom, a)), denom)
+    top = ratfunc.add(ratfunc.mul_ground(numer, b), ratfunc.mul_ground(denom, a))
+    bottom = ratfunc.mul_ground(denom, b)
+    g = gcd(ratfunc.content(top), b * ratfunc.content(denom))
+    return RatFunc(ratfunc.quo_ground(top, g), ratfunc.quo_ground(bottom, g))
 
 
 def _inverse(f):
     """1/f for a parametric f, with the sign moved to the numerator."""
     numer, denom = f.numer, f.denom
-    if numer.LC < 0:
-        return f.raw_new(-denom, -numer)
-    return f.raw_new(denom, numer)
+    if ratfunc.lc(numer) < 0:
+        return RatFunc(ratfunc.neg(denom), ratfunc.neg(numer))
+    return RatFunc(denom, numer)
 
 
 def _new(f) -> "Scalar":
@@ -122,7 +118,7 @@ class Scalar:
             f = value
         elif isinstance(value, int):
             f = Fraction(value)
-        elif isinstance(value, _FRAC_ELEMENT):
+        elif isinstance(value, RatFunc):
             f = _demote(value)
         else:
             raise TypeError(f"cannot build a Scalar from {type(value).__name__}")
@@ -135,9 +131,9 @@ class Scalar:
 
     @staticmethod
     def parameter(name: str) -> "Scalar":
-        if name not in _GENS:
+        if name not in ratfunc.GENS:
             raise ScalarError(f"unknown parameter {name!r}; expected one of {PARAMETERS}")
-        return _new(_GENS[name])
+        return _new(RatFunc(ratfunc.GENS[name], ratfunc.ONE))
 
     @staticmethod
     def parse(text: str) -> "Scalar":
@@ -169,11 +165,11 @@ class Scalar:
         if g is None:
             return NotImplemented
         f = self._f
-        if isinstance(f, _FRAC_ELEMENT):
-            if isinstance(g, _FRAC_ELEMENT):
+        if isinstance(f, RatFunc):
+            if isinstance(g, RatFunc):
                 return _new(_demote(f + g))
             return _new(_add_ground(f, g)) if g else self
-        if isinstance(g, _FRAC_ELEMENT):
+        if isinstance(g, RatFunc):
             return _new(_add_ground(g, f)) if f else other
         return _new(f + g)
 
@@ -184,11 +180,11 @@ class Scalar:
         if g is None:
             return NotImplemented
         f = self._f
-        if isinstance(f, _FRAC_ELEMENT):
-            if isinstance(g, _FRAC_ELEMENT):
+        if isinstance(f, RatFunc):
+            if isinstance(g, RatFunc):
                 return _new(_demote(f - g))
             return _new(_add_ground(f, -g)) if g else self
-        if isinstance(g, _FRAC_ELEMENT):
+        if isinstance(g, RatFunc):
             return _new(_add_ground(-g, f))
         return _new(f - g)
 
@@ -203,11 +199,11 @@ class Scalar:
         if g is None:
             return NotImplemented
         f = self._f
-        if isinstance(f, _FRAC_ELEMENT):
-            if isinstance(g, _FRAC_ELEMENT):
+        if isinstance(f, RatFunc):
+            if isinstance(g, RatFunc):
                 return _new(_demote(f * g))
             return _new(_mul_ground(f, g)) if g else ZERO
-        if isinstance(g, _FRAC_ELEMENT):
+        if isinstance(g, RatFunc):
             return _new(_mul_ground(g, f)) if f else ZERO
         return _new(f * g)
 
@@ -220,11 +216,11 @@ class Scalar:
         if not g:
             raise DivisionByZero("division by zero Scalar")
         f = self._f
-        if isinstance(g, _FRAC_ELEMENT):
-            if isinstance(f, _FRAC_ELEMENT):
+        if isinstance(g, RatFunc):
+            if isinstance(f, RatFunc):
                 return _new(_demote(f / g))
             return _new(_mul_ground(_inverse(g), f)) if f else ZERO
-        if isinstance(f, _FRAC_ELEMENT):
+        if isinstance(f, RatFunc):
             return _new(_mul_ground(f, 1 / Fraction(g)))
         return _new(f / g)
 
@@ -244,7 +240,7 @@ class Scalar:
         if n < 0:
             if not f:
                 raise DivisionByZero("negative power of zero Scalar")
-            f, n = (_inverse(f) if isinstance(f, _FRAC_ELEMENT) else 1 / f), -n
+            f, n = (_inverse(f) if isinstance(f, RatFunc) else 1 / f), -n
         if n == 0:
             return ONE
         return _new(f**n)
@@ -263,17 +259,13 @@ class Scalar:
         elif not isinstance(other, (int, Fraction)):
             return NotImplemented
         f = self._f
-        if isinstance(f, _FRAC_ELEMENT):
-            return isinstance(other, _FRAC_ELEMENT) and f == other
-        return not isinstance(other, _FRAC_ELEMENT) and f == other
+        if isinstance(f, RatFunc):
+            return isinstance(other, RatFunc) and f == other
+        return not isinstance(other, RatFunc) and f == other
 
     def __hash__(self):
-        f = self._f
-        if isinstance(f, _FRAC_ELEMENT):
-            # Not hash(f): sympy caches a polynomial's hash, and some of its
-            # routines (PolyElement.square) mutate a polynomial after hashing it.
-            return hash((frozenset(f.numer.items()), frozenset(f.denom.items())))
-        return hash(f)
+        # a RatFunc hashes as (frozenset(numer.items()), frozenset(denom.items()))
+        return hash(self._f)
 
     # -- structure ---------------------------------------------------------
 
@@ -284,35 +276,35 @@ class Scalar:
         vanishes at the assignment.
         """
         f = self._f
-        if not isinstance(f, _FRAC_ELEMENT):
+        if not isinstance(f, RatFunc):
             return self
         images = [
-            _as_scalar(assignment[name]) if name in assignment else _new(_GENS[name])
+            _as_scalar(assignment[name]) if name in assignment else Scalar.parameter(name)
             for name in PARAMETERS
         ]
-        num = _eval_poly(f.numer, images)
-        den = _eval_poly(f.denom, images)
+        point = [x._f for x in images]
+        if any(isinstance(x, RatFunc) for x in point):
+            num, den = _eval_poly(f.numer, images), _eval_poly(f.denom, images)
+        else:
+            num, den = ratfunc.evaluate(f.numer, point), ratfunc.evaluate(f.denom, point)
         if not den:
             named = ", ".join(f"{k}={assignment[k]}" for k in PARAMETERS if k in assignment)
             raise PoleError(f"denominator of {self} vanishes at {named}")
-        return num / den
+        return num / den if isinstance(num, Scalar) else _new(num / den)
 
     def coefficient_of(self, name: str, power: int) -> "Scalar":
         """Coefficient of name**power, valid when the denominator is free of name."""
         idx = PARAMETERS.index(name)
         f = self._f
-        if not isinstance(f, _FRAC_ELEMENT):
+        if not isinstance(f, RatFunc):
             return self if power == 0 else ZERO
-        for monom, _ in f.denom.terms():
-            if monom[idx]:
-                raise ScalarError(f"denominator of {self} involves {name}")
-        num = _RING.zero
-        for monom, coeff in f.numer.terms():
+        if any(monom[idx] for monom in f.denom):
+            raise ScalarError(f"denominator of {self} involves {name}")
+        num = {}
+        for monom, coeff in f.numer.items():
             if monom[idx] == power:
-                reduced = list(monom)
-                reduced[idx] = 0
-                num += _RING.from_terms([(tuple(reduced), coeff)])
-        return _new(_demote(_FIELD.new(num, f.denom)))
+                num[monom[:idx] + (0,) + monom[idx + 1 :]] = coeff
+        return _new(_demote(RatFunc.new(num, f.denom)))
 
     def __str__(self):
         return str(self._f)
@@ -330,8 +322,8 @@ def _as_scalar(value) -> Scalar:
 
 def _eval_poly(poly, images):
     out = ZERO
-    for monom, coeff in poly.terms():
-        term = _new(Fraction(int(coeff)))
+    for monom, coeff in poly.items():
+        term = _new(Fraction(coeff))
         for img, exp in zip(images, monom):
             if exp:
                 term *= img**exp
@@ -347,8 +339,10 @@ _MAX_EXPONENT = 100
 
 #: bound on the work Scalar.parse does for an untrusted string: no product
 #: it forms may have factors whose term counts multiply, or whose largest
-#: coefficients' bit lengths add, to more than this, and no power of a
-#: monomial may have more coefficient bits or a higher degree
+#: coefficients' bit lengths add, to more than this, no power of a monomial
+#: may have more coefficient bits or a higher degree, and the final
+#: numerator and denominator are not cancelled if their term counts multiply
+#: to more than this
 _MAX_WORK = 10_000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\*\*|[-+*/()]))", re.ASCII)
@@ -371,7 +365,7 @@ class _Parser:
             if m is None:
                 self.fail(f"unexpected character {text[pos:].lstrip()[:1]!r}")
             number, name, op = m.groups()
-            if name is not None and name not in _GENS:
+            if name is not None and name not in ratfunc.GENS:
                 self.fail(f"unknown name {name!r}")
             self.tokens.append(number or name or op)
             pos = m.end()
@@ -394,9 +388,9 @@ class _Parser:
         num, den = self.sum()
         if self.peek() is not None:
             self.fail(f"unexpected {self.peek()!r}")
-        if num.is_ground and den.is_ground:
-            return Fraction(int(num.LC), int(den.LC))
-        return _demote(_FIELD.new(num, den))
+        if len(num) * len(den) > _MAX_WORK:
+            self.fail("value too large")
+        return _demote(RatFunc.new(num, den))
 
     def sum(self):
         num, den = self.product()
@@ -405,7 +399,7 @@ class _Parser:
             n2, d2 = self.product()
             if den != d2:
                 num, n2, den = self.mul(num, d2), self.mul(n2, den), self.mul(den, d2)
-            num = num + n2 if op == "+" else num - n2
+            num = ratfunc.add(num, n2) if op == "+" else ratfunc.sub(num, n2)
         return num, den
 
     def product(self):
@@ -425,7 +419,7 @@ class _Parser:
         if self.peek() in ("+", "-"):
             sign = self.take()
             num, den = self.unary()
-            return (-num if sign == "-" else num), den
+            return (ratfunc.neg(num) if sign == "-" else num), den
         return self.power()
 
     def power(self):
@@ -441,10 +435,10 @@ class _Parser:
 
     def mul(self, a, b):
         """a*b, refused before it is formed if it exceeds _MAX_WORK."""
-        bits = int(a.max_norm()).bit_length() + int(b.max_norm()).bit_length()
+        bits = ratfunc.max_norm(a).bit_length() + ratfunc.max_norm(b).bit_length()
         if len(a) * len(b) > _MAX_WORK or bits > _MAX_WORK:
             self.fail("value too large")
-        return a * b
+        return ratfunc.mul(a, b)
 
     def pow(self, a, exp: int):
         """a**exp; a monomial's power is taken at once, any other by repeated
@@ -452,10 +446,10 @@ class _Parser:
         """
         if len(a) == 1:
             ((monom, coeff),) = a.items()
-            if max(int(coeff).bit_length(), sum(monom)) * exp > _MAX_WORK:
+            if max(coeff.bit_length(), sum(monom)) * exp > _MAX_WORK:
                 self.fail("value too large")
-            return a**exp
-        out = _RING.one
+            return ratfunc.power(a, exp)
+        out = ratfunc.ONE
         for _ in range(exp):
             out = self.mul(out, a)
         return out
@@ -467,13 +461,14 @@ class _Parser:
             if self.take() != ")":
                 self.fail("expected ')'")
             return value
-        if tok in _GENS:
-            return _GENS[tok].numer, _RING.one
+        if tok in ratfunc.GENS:
+            return ratfunc.GENS[tok], ratfunc.ONE
         if tok.isdigit():
             try:
-                return _RING.ground_new(int(tok)), _RING.one
+                value = int(tok)
             except ValueError:
                 self.fail("integer literal too long")
+            return ({ratfunc.CONST: value} if value else {}), ratfunc.ONE
         self.fail(f"unexpected {tok!r}")
 
 

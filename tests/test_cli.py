@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from rpencil import serialize
+from rpencil import serialize, suites
 from rpencil.cli import main
 from rpencil.poisson import sd_quadratic
 from rpencil.quadratic import a0q
 from rpencil.rmatrix import hecke_s
+from rpencil.scalars import PoleError
 
 
 def test_run_pass(capsys):
@@ -123,7 +124,14 @@ def test_parse_unreadable_file_exits_2(tmp_path, capsys, content, reason):
     assert reason in lines[0]
 
 
-@pytest.mark.parametrize("text", ["((2**100)**100)**2", "((q+h+lam+1)**20)**3"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "((2**100)**100)**2",
+        "((q+h+lam+1)**20)**3",
+        "((q+h+lam+1)**22*(q+h+lam+5))/((q+h+lam+2)**22*(q+h+lam+3))",
+    ],
+)
 def test_parse_oversized_scalar_exits_2(tmp_path, capsys, text):
     data = serialize.to_data(hecke_s(2))
     data["payload"]["matrix"]["entries"]["1,2"] = text
@@ -136,6 +144,24 @@ def test_parse_oversized_scalar_exits_2(tmp_path, capsys, text):
     assert len(lines) == 1
     assert lines[0].startswith("error: $.payload.matrix.entries[1,2]: ")
     assert lines[0].endswith("value too large")
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [PoleError("denominator of 1/(q - 2) vanishes at q=2"), RuntimeError("two\nlines")],
+)
+def test_internal_error_exits_3(monkeypatch, capsys, exc):
+    def failing_suite(n, degree, assign, rng, checks):
+        raise exc
+
+    monkeypatch.setitem(suites._RUNNERS, "glie", failing_suite)
+    assert main(["run", "--suite", "glie"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: suite glie stopped: ")
+    assert type(exc).__name__ in lines[0]
 
 
 def test_math_failure_exits_1(monkeypatch, capsys):

@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Rational
+from sympy.polys.fields import field
 
+from rpencil import ratfunc
+from rpencil.ratfunc import RatFunc
 from rpencil.scalars import (
-    _FIELD,
     DEFAULT_ASSIGNMENT,
     DivisionByZero,
     H,
@@ -20,11 +27,18 @@ from rpencil.scalars import (
     scalar,
 )
 
+# sympy's field, the reference for rpencil.ratfunc
+_FIELD, _SQ, _SH, _SLAM = field("q,h,lam", ZZ)
+_RING = _FIELD.ring
+
 
 def _names(s):
-    """The parameters that s depends on, read from its sympy expression."""
+    """The parameters that s depends on, read from its exponents."""
     f = s._f
-    return set() if isinstance(f, Fraction) else {str(x) for x in f.as_expr().free_symbols}
+    if isinstance(f, Fraction):
+        return set()
+    monoms = list(f.numer) + list(f.denom)
+    return {name for i, name in enumerate(("q", "h", "lam")) if any(m[i] for m in monoms)}
 
 
 def test_constants():
@@ -120,7 +134,15 @@ def test_parse_rejects(text):
 
 @pytest.mark.parametrize(
     "text",
-    ["((2**100)**100)**2", "((q+h+lam+1)**20)**3", "((q+h+lam+1)**20)**5", "((q**100)**100)**2"],
+    [
+        "((2**100)**100)**2",
+        "((q+h+lam+1)**20)**3",
+        "((q+h+lam+1)**20)**5",
+        "((q**100)**100)**2",
+        # every product passes, but the numerator and denominator it cancels
+        # have 2600 terms each
+        "((q+h+lam+1)**22*(q+h+lam+5))/((q+h+lam+2)**22*(q+h+lam+3))",
+    ],
 )
 def test_parse_bounds_its_work(text):
     # each string is short, but its value has a coefficient, a term count
@@ -229,20 +251,26 @@ def mixed_scalars(draw):
 
 
 def _field(s):
-    """s in sympy's ZZ(q,h,lam), the one representation the seed used."""
+    """s as an element of sympy's ZZ(q,h,lam)."""
     f = s._f
     if isinstance(f, Fraction):
         return _FIELD(f.numerator) / _FIELD(f.denominator)
-    return f
+    return _FIELD.new(_RING.from_dict(f.numer), _RING.from_dict(f.denom))
 
 
 def _same(fast, reference):
-    expected = Scalar(reference)
-    assert fast == expected
-    assert str(fast) == str(expected)
-    assert hash(fast) == hash(expected)
-    constant = not _names(fast)
-    assert isinstance(fast._f, Fraction) == constant
+    """fast is reference: the same value, string and hash, in canonical form."""
+    numer, denom = reference.numer, reference.denom
+    if numer.is_ground and denom.is_ground:
+        expected = Fraction(int(numer.LC), int(denom.LC))
+        assert fast._f == expected and isinstance(fast._f, Fraction)
+        assert hash(fast) == hash(expected)
+    else:
+        f = fast._f
+        assert isinstance(f, RatFunc)
+        assert (f.numer, f.denom) == (dict(numer), dict(denom))
+        assert hash(fast) == hash((frozenset(numer.items()), frozenset(denom.items())))
+    assert str(fast) == str(reference)
 
 
 @settings(max_examples=150, deadline=None)
@@ -307,3 +335,135 @@ def test_negative_power_is_canonical():
     assert (-Q) ** -1 == -1 / Q
     assert str((-Q) ** -1) == "-1/q"
     assert (1 / (-Q)) ** -1 == -Q
+
+
+def test_printer_matches_sympy():
+    for value in (
+        (Q * H - 2) / (3 * Q**2 + LAM),
+        (-Q - 1) / (2 * H),
+        -1 / Q,
+        -Q / H,
+        Q / 3,
+        (-Q + 1) / 3,
+        2 * Q / (H * LAM),
+        -2 / (Q + 1),
+        -Q * H / (H + 1),
+        -(Q**3) * H**2 * LAM + 7,
+    ):
+        assert str(value) == str(_field(value))
+
+
+# -- rpencil.ratfunc against sympy's ZZ(q,h,lam) on inputs with real gcds --
+
+_polys = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+    st.integers(min_value=-4, max_value=4).filter(bool),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def shared_factors(draw):
+    """Six random polynomials a..f; x = a*c/(b*d) and y = d*e/(c*f) share
+    c and d, so their products, quotients and sums cancel real gcds.
+    """
+    return [draw(_polys) for _ in range(6)]
+
+
+def _ratio(top, bottom):
+    """(sympy element, Scalar) for the product of top over the product of
+    bottom; sympy and ratfunc each cancel it by their own gcd.
+    """
+    num, den, fnum, fden = ratfunc.ONE, ratfunc.ONE, _RING.one, _RING.one
+    for p in top:
+        num, fnum = ratfunc.mul(num, p), fnum * _RING.from_dict(p)
+    for p in bottom:
+        den, fden = ratfunc.mul(den, p), fden * _RING.from_dict(p)
+    return _FIELD.new(fnum, fden), Scalar(RatFunc.new(num, den))
+
+
+def _sympy_rational(poly, point):
+    value = poly.as_expr().subs({name: Rational(v.numerator, v.denominator)
+                                 for name, v in point.items()})
+    return Fraction(int(value.p), int(value.q))
+
+
+@settings(max_examples=120, deadline=None)
+@given(shared_factors(), st.integers(min_value=-2, max_value=3))
+def test_field_matches_sympy(polys, n):
+    a, b, c, d, e, f = polys
+    fx, x = _ratio([a, c], [b, d])
+    fy, y = _ratio([d, e], [c, f])
+    _same(x, fx)
+    _same(x + y, fx + fy)
+    _same(x - y, fx - fy)
+    _same(x * y, fx * fy)
+    _same(x / y, fx / fy)
+    _same(x * x - y, fx * fx - fy)
+    _same(x**n, fx**n if n >= 0 else _FIELD.one / fx ** (-n))
+    # parse a non-canonical spelling of x, built from sympy's strings
+    text = "({})*({})/(({})*({}))".format(*(_RING.from_dict(p) for p in (a, c, b, d)))
+    _same(Scalar.parse(text), fx)
+    assert Scalar.parse_canonical(str(fx)) == x
+    # specialize at the fast-mode point, and in q only
+    den = _sympy_rational(fx.denom, DEFAULT_ASSIGNMENT)
+    if den:
+        expected = _sympy_rational(fx.numer, DEFAULT_ASSIGNMENT) / den
+        assert x.specialize(DEFAULT_ASSIGNMENT) == expected
+    else:
+        with pytest.raises(PoleError):
+            x.specialize(DEFAULT_ASSIGNMENT)
+    if fx.denom.subs(_RING.gens[0], 2):
+        _same(x.specialize({"q": 2}), fx.subs(_SQ, 2))
+    # coefficient_of each parameter its denominator is free of
+    for i, name in enumerate(("q", "h", "lam")):
+        if any(m[i] for m in fx.denom):
+            with pytest.raises(ScalarError):
+                x.coefficient_of(name, 1)
+            continue
+        for power in (0, 1, 2):
+            top = {m[:i] + (0,) + m[i + 1 :]: v for m, v in fx.numer.items() if m[i] == power}
+            _same(x.coefficient_of(name, power), _FIELD.new(_RING.from_dict(top), fx.denom))
+
+
+@settings(max_examples=120, deadline=None)
+@given(shared_factors())
+# gcd(lam**2, h**2*lam): the candidate h**2*lam / lam = 961 at h = 31 must not
+# be reduced to its primitive part, 1
+@example([{(0, 0, 2): 1}, {(0, 2, 1): 1}] + [{(0, 0, 0): 1}] * 4)
+def test_gcd_fallback_matches_heuristic(polys):
+    a, b, c, d, e, f = polys
+    for top, bottom in ((ratfunc.mul(a, c), ratfunc.mul(b, c)),
+                        (ratfunc.mul(ratfunc.mul(a, c), d), ratfunc.mul(c, ratfunc.mul(d, e))),
+                        (ratfunc.power(c, 2), ratfunc.mul(c, f))):
+        h = ratfunc.prs_gcd(top, bottom)
+        expected = _RING.from_dict(top).gcd(_RING.from_dict(bottom))
+        if expected.LC < 0:
+            expected = -expected
+        assert h == dict(expected)
+        found = ratfunc._heu_gcd(top, bottom, 0)
+        if found is not None:
+            g, cf, cg = found
+            assert g == h
+            assert ratfunc.mul(g, cf) == top and ratfunc.mul(g, cg) == bottom
+
+
+def test_rpencil_runs_without_sympy():
+    # the field is rpencil's own: importing, loading a parametric file and
+    # running a symbolic suite never load sympy
+    code = """
+import sys
+import rpencil
+from rpencil import serialize
+text = serialize.dumps(rpencil.s_w(rpencil.hecke_s(2)))
+assert serialize.dumps(serialize.loads(text)) == text and "q" in text
+assert rpencil.run_suite("quantum-type2", n=2)["verdict"] == "pass"
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
+assert not loaded, loaded
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
