@@ -1,6 +1,9 @@
-"""Commutative multivariate polynomials in named generators over Scalar."""
+"""The sparse term algebra over Scalar, and commutative multivariate
+polynomials in named generators built on it."""
 
 from __future__ import annotations
+
+from operator import add
 
 from .scalars import ONE, ZERO, scalar
 
@@ -13,86 +16,82 @@ def _deglex_key(monom):
     return (sum(monom), monom)
 
 
-class Poly:
-    """Polynomial with Scalar coefficients; monomials are exponent tuples."""
+class Terms:
+    """A dict from keys (index tuples) to nonzero Scalars over fixed generators.
+
+    Subclasses say how two keys multiply (`_join`) and which key is the unit
+    (`_unit`); addition, products, equality and hashing are shared.
+    """
 
     __slots__ = ("generators", "terms")
 
     def __init__(self, generators, terms=None):
         self.generators = tuple(generators)
-        self.terms = {} if terms is None else {
-            m: c for m, c in terms.items() if c
-        }
+        self.terms = {} if terms is None else {k: c for k, c in terms.items() if c}
 
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def _raw(cls, generators: tuple, terms: dict):
+        """Wrap terms that are already nonzero, without re-filtering them."""
+        self = object.__new__(cls)
+        self.generators = generators
+        self.terms = terms
+        return self
 
-    @staticmethod
-    def zero(generators) -> "Poly":
-        return Poly(generators)
+    @classmethod
+    def zero(cls, generators):
+        return cls(generators)
 
-    @staticmethod
-    def constant(generators, c) -> "Poly":
+    @classmethod
+    def constant(cls, generators, c):
         c = scalar(c)
         generators = tuple(generators)
-        if not c:
-            return Poly(generators)
-        return Poly(generators, {(0,) * len(generators): c})
+        return cls._raw(generators, {cls._unit(len(generators)): c} if c else {})
 
-    @staticmethod
-    def generator(generators, name: str) -> "Poly":
-        generators = tuple(generators)
-        if name not in generators:
-            raise GeneratorError(f"unknown generator {name!r}")
-        i = generators.index(name)
-        monom = tuple(1 if j == i else 0 for j in range(len(generators)))
-        return Poly(generators, {monom: ONE})
-
-    @staticmethod
-    def monomial(generators, exponents, coeff=1) -> "Poly":
-        return Poly(tuple(generators), {tuple(exponents): scalar(coeff)})
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: "Poly") -> None:
+    def _check(self, other) -> None:
+        if type(other) is not type(self):
+            raise GeneratorError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
         if self.generators != other.generators:
             raise GeneratorError(
                 f"generator mismatch: {self.generators} vs {other.generators}"
             )
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, ZERO) + c
+        for k, c in other.terms.items():
+            s = terms.get(k, ZERO) + c
             if s:
-                terms[m] = s
+                terms[k] = s
             else:
-                terms.pop(m, None)
-        return Poly(self.generators, terms)
+                terms.pop(k, None)
+        return self._raw(self.generators, terms)
 
-    def __sub__(self, other: "Poly") -> "Poly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "Poly":
-        return Poly(self.generators, {m: -c for m, c in self.terms.items()})
+    def __neg__(self):
+        return self._raw(self.generators, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
+        if type(other) is type(self):
             self._check(other)
+            join = self._join
             terms: dict = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    prev = terms.get(m)
-                    terms[m] = c1 * c2 if prev is None else prev + c1 * c2
-            return Poly(self.generators, terms)
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    k = join(k1, k2)
+                    prev = terms.get(k)
+                    terms[k] = c1 * c2 if prev is None else prev + c1 * c2
+            return type(self)(self.generators, terms)
         c = scalar(other)
-        return Poly(self.generators, {m: v * c for m, v in self.terms.items()})
+        return type(self)(self.generators, {k: v * c for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, Poly):
+        if type(other) is not type(self):
             return NotImplemented
         return self.generators == other.generators and self.terms == other.terms
 
@@ -104,6 +103,36 @@ class Poly:
 
     def __bool__(self):
         return bool(self.terms)
+
+    def scalar_map(self, fn):
+        """Apply fn to every coefficient, dropping those it sends to zero."""
+        return type(self)(self.generators, {k: fn(c) for k, c in self.terms.items()})
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class Poly(Terms):
+    """Polynomial with Scalar coefficients; monomials are exponent tuples."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _join(m1, m2):
+        return tuple(map(add, m1, m2))
+
+    @staticmethod
+    def _unit(n):
+        return (0,) * n
+
+    @staticmethod
+    def generator(generators, name: str) -> "Poly":
+        generators = tuple(generators)
+        if name not in generators:
+            raise GeneratorError(f"unknown generator {name!r}")
+        i = generators.index(name)
+        monom = tuple(1 if j == i else 0 for j in range(len(generators)))
+        return Poly._raw(generators, {monom: ONE})
 
     # -- calculus / structure ---------------------------------------------
 
@@ -138,11 +167,6 @@ class Poly:
             out = out + term
         return out
 
-    def scalar_map(self, fn) -> "Poly":
-        return Poly(self.generators, {
-            m: v for m, v in ((m, fn(c)) for m, c in self.terms.items()) if v
-        })
-
     def coefficient_of_param(self, name: str, power: int) -> "Poly":
         return self.scalar_map(lambda c: c.coefficient_of(name, power))
 
@@ -164,6 +188,3 @@ class Poly:
             else:
                 parts.append(f"({cs})")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"Poly({self})"

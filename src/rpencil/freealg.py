@@ -2,104 +2,38 @@
 
 from __future__ import annotations
 
-from .commpoly import GeneratorError
-from .scalars import ONE, ZERO, Scalar, scalar
+from operator import add
+
+from .commpoly import GeneratorError, Terms
+from .scalars import ONE, Scalar, scalar
 
 
 def deglex_key(word):
     return (len(word), word)
 
 
-class FreeElement:
+class FreeElement(Terms):
     """Element of the free algebra; terms map words (index tuples) to Scalars."""
 
-    __slots__ = ("generators", "terms")
+    __slots__ = ()
 
-    def __init__(self, generators, terms=None):
-        self.generators = tuple(generators)
-        self.terms = {} if terms is None else {w: c for w, c in terms.items() if c}
-
-    @classmethod
-    def _raw(cls, generators: tuple, terms: dict) -> "FreeElement":
-        """Wrap terms that are already nonzero, without re-filtering them."""
-        self = object.__new__(cls)
-        self.generators = generators
-        self.terms = terms
-        return self
-
-    # -- constructors ------------------------------------------------------
+    _join = staticmethod(add)
 
     @staticmethod
-    def zero(generators) -> "FreeElement":
-        return FreeElement(generators)
-
-    @staticmethod
-    def constant(generators, c) -> "FreeElement":
-        c = scalar(c)
-        return FreeElement(generators, {(): c} if c else {})
+    def _unit(n):
+        return ()
 
     @staticmethod
     def generator(generators, name: str) -> "FreeElement":
         generators = tuple(generators)
         if name not in generators:
             raise GeneratorError(f"unknown generator {name!r}")
-        return FreeElement(generators, {(generators.index(name),): ONE})
+        return FreeElement._raw(generators, {(generators.index(name),): ONE})
 
     @staticmethod
     def word(generators, indices, coeff=ONE) -> "FreeElement":
-        return FreeElement(tuple(generators), {tuple(indices): scalar(coeff)})
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: "FreeElement") -> None:
-        if self.generators != other.generators:
-            raise GeneratorError("generator mismatch between free elements")
-
-    def __add__(self, other: "FreeElement") -> "FreeElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, ZERO) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        return FreeElement._raw(self.generators, terms)
-
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
-        return self + (-other)
-
-    def __neg__(self) -> "FreeElement":
-        return FreeElement._raw(self.generators, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, FreeElement):
-            self._check(other)
-            terms: dict = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    prev = terms.get(w)
-                    terms[w] = c1 * c2 if prev is None else prev + c1 * c2
-            return FreeElement(self.generators, terms)
-        c = scalar(other)
-        return FreeElement(self.generators, {w: v * c for w, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        return self.generators == other.generators and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.generators, tuple(sorted(self.terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+        c = scalar(coeff)
+        return FreeElement._raw(tuple(generators), {tuple(indices): c} if c else {})
 
     # -- structure ---------------------------------------------------------
 
@@ -123,10 +57,7 @@ class FreeElement:
         )
 
     def specialize(self, assignment: dict) -> "FreeElement":
-        return FreeElement(
-            self.generators,
-            {w: c.specialize(assignment) for w, c in self.terms.items()},
-        )
+        return self.scalar_map(lambda c: c.specialize(assignment))
 
     def to_vector(self, degree: int) -> dict:
         """Coordinates in the standard word basis of the degree-th tensor power."""
@@ -163,6 +94,3 @@ class FreeElement:
             cs = str(c)
             parts.append(body if cs == "1" and w else f"({cs})*{body}")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"FreeElement({self})"

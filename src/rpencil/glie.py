@@ -51,9 +51,8 @@ class GeneralizedLieBracket:
             raise SplittingError("splitting spaces intersect nontrivially")
         if self.matrix.shape != (N + 1, N * N):
             raise SplittingError("bracket matrix has the wrong shape")
-        for row in self.i_plus.rows:
-            if any(self.matrix.apply(row).values()):
-                raise SplittingError("bracket does not vanish on I_plus")
+        if any(_images(self.i_plus.rows, self.matrix)):
+            raise SplittingError("bracket does not vanish on I_plus")
 
     @property
     def dim(self) -> int:
@@ -71,13 +70,9 @@ class GeneralizedLieBracket:
     def value_element(self, vec: dict) -> FreeElement:
         """The bracket of vec as a degree <= 1 free-algebra element."""
         N = self.dim
-        out = FreeElement.zero(self.generators)
-        for idx, c in self.bracket(vec).items():
-            if idx == N:
-                out = out + FreeElement.constant(self.generators, c)
-            else:
-                out = out + FreeElement.word(self.generators, (idx,), c)
-        return out
+        return FreeElement(self.generators, {
+            (idx,) if idx < N else (): c for idx, c in self.bracket(vec).items()
+        })
 
     @staticmethod
     def from_relation_values(generators, i_plus, pairs) -> "GeneralizedLieBracket":
@@ -143,16 +138,15 @@ def _partial_maps(g: GeneralizedLieBracket):
     return bv.kron(eye) - eye.kron(bv), b1.kron(eye) - eye.kron(b1)
 
 
-def _overlap_images(g: GeneralizedLieBracket, op: Mat) -> list:
-    """op applied to every overlap row, by one sparse product."""
-    w = g.overlap.rows
-    return (Mat(len(w), op.ncols, w) * op.transpose()).rows
+def _images(rows, op: Mat) -> list:
+    """op applied to every row vector, by one sparse product."""
+    return (Mat(len(rows), op.ncols, rows) * op.transpose()).rows
 
 
 def check_axiom7(g: GeneralizedLieBracket):
     """(b (x) id - id (x) b) maps the overlap space into I_minus (mod V + k)."""
     quad, _ = _partial_maps(g)
-    for pos, image in enumerate(_overlap_images(g, quad)):
+    for pos, image in enumerate(_images(g.overlap.rows, quad)):
         if not g.i_minus.contains(image):
             return False, {"overlap_index": pos, "residual": g.i_minus.reduce(image)}
     return True, None
@@ -167,7 +161,7 @@ def check_axiom8(g: GeneralizedLieBracket):
     N = g.dim
     quad, lin = _partial_maps(g)
     op = g.matrix * quad + Mat(N + 1, N**3, lin.rows + [{}])
-    for pos, total in enumerate(_overlap_images(g, op)):
+    for pos, total in enumerate(_images(g.overlap.rows, op)):
         if total:
             return False, {"overlap_index": pos, "residual": total}
     return True, None

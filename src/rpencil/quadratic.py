@@ -16,7 +16,7 @@ from .groebner import NcIdeal, complete, filtration_dims, hilbert, normal_form, 
 from .linalg import Mat, SubspaceBasis, image
 from .poisson import _pair_case, matrix_generators
 from .rmatrix import hecke_s, s_w
-from .scalars import H, LAM, ONE, Q, Scalar, scalar
+from .scalars import H, LAM, Q, scalar
 
 
 class ConsistencyError(Exception):
@@ -173,23 +173,27 @@ def lambda_substitute(p: QuadraticPresentation, lam=LAM) -> QuadraticPresentatio
         raise GeneratorError("generators are not matrix coefficients")
     lam = scalar(lam)
 
-    def delta(pos):
+    def diagonal(pos):
         r, c = divmod(pos, n)
-        return ONE if r == c else Scalar(0)
+        return r == c
 
     out = []
     for rel in p.relations:
-        shifted = FreeElement.zero(gens)
-        for w, c in rel.terms.items():
-            u, v = w
-            du, dv = delta(u), delta(v)
-            shifted = shifted + c * FreeElement.word(gens, (u, v))
-            if dv:
-                shifted = shifted + (c * lam * dv) * FreeElement.word(gens, (u,))
-            if du:
-                shifted = shifted + (c * lam * du) * FreeElement.word(gens, (v,))
-            if du and dv:
-                shifted = shifted + FreeElement.constant(gens, c * lam * lam * du * dv)
+        terms: dict = {}
+
+        def put(w, x):
+            prev = terms.get(w)
+            terms[w] = x if prev is None else prev + x
+
+        for (u, v), c in rel.terms.items():
+            put((u, v), c)
+            if diagonal(v):
+                put((u,), c * lam)
+            if diagonal(u):
+                put((v,), c * lam)
+            if diagonal(u) and diagonal(v):
+                put((), c * lam * lam)
+        shifted = FreeElement(gens, terms)
         const = shifted.terms.get((), None)
         if const:
             raise ConsistencyError(

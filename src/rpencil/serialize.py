@@ -142,17 +142,11 @@ def _free_out(f: FreeElement, texts: dict) -> list:
 
 def _free_in(data, generators, path: str, scalars: dict) -> FreeElement:
     n = len(generators)
-    out = FreeElement.zero(generators)
-    for k, item in enumerate(_expect_list(data, path)):
-        here = f"{path}[{k}]"
-        if not (isinstance(item, list) and len(item) == 2):
-            raise FormatError(here, "expected [word, coefficient] pairs")
-        word, text = item
-        # type(...) is int: JSON true and false load as the bools True and False
-        if not (isinstance(word, list) and all(type(g) is int and 0 <= g < n for g in word)):
-            raise FormatError(here, "word must be a list of generator indices")
-        out = out + FreeElement.word(generators, tuple(word), _scalar_in(text, here, scalars))
-    return out
+    # type(...) is int: JSON true and false load as the bools True and False
+    return FreeElement(generators, _terms_in(
+        data, path, scalars, "word", "word must be a list of generator indices",
+        lambda w: isinstance(w, list) and all(type(g) is int and 0 <= g < n for g in w),
+    ))
 
 
 def _poly_out(p: Poly, texts: dict) -> list:
@@ -160,20 +154,28 @@ def _poly_out(p: Poly, texts: dict) -> list:
 
 def _poly_in(data, generators, path: str, scalars: dict) -> Poly:
     n = len(generators)
-    out = Poly.zero(generators)
+    return Poly(generators, _terms_in(
+        data, path, scalars, "exponents", f"exponent vector must have {n} nonnegative entries",
+        # not bool, as in _free_in
+        lambda e: isinstance(e, list) and len(e) == n and all(type(x) is int and x >= 0 for x in e),
+    ))
+
+
+def _terms_in(data, path: str, scalars: dict, label: str, bad_key: str, key_ok) -> dict:
+    """[key, coefficient] pairs as one terms dict; a repeated key's coefficients
+    are summed, and the element's constructor drops those that sum to zero."""
+    terms: dict = {}
     for k, item in enumerate(_expect_list(data, path)):
         here = f"{path}[{k}]"
         if not (isinstance(item, list) and len(item) == 2):
-            raise FormatError(here, "expected [exponents, coefficient] pairs")
-        exps, text = item
-        if not (
-            isinstance(exps, list)
-            and len(exps) == n
-            and all(type(e) is int and e >= 0 for e in exps)  # not bool, as above
-        ):
-            raise FormatError(here, f"exponent vector must have {n} nonnegative entries")
-        out = out + Poly.monomial(generators, tuple(exps), _scalar_in(text, here, scalars))
-    return out
+            raise FormatError(here, f"expected [{label}, coefficient] pairs")
+        key, text = item
+        if not key_ok(key):
+            raise FormatError(here, bad_key)
+        key, c = tuple(key), _scalar_in(text, here, scalars)
+        prev = terms.get(key)
+        terms[key] = c if prev is None else prev + c
+    return terms
 
 
 # -- schema plumbing ---------------------------------------------------------

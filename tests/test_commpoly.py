@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpencil.commpoly import GeneratorError, Poly
+from rpencil.freealg import FreeElement
 from rpencil.scalars import LAM, Q, scalar
 
 GENS = ("x", "y", "z")
@@ -56,7 +59,41 @@ def test_generator_mismatch():
         g("x") + other
 
 
+def test_cross_type_operands():
+    x, y = g("x"), FreeElement.generator(GENS, "y")
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(GeneratorError):
+            a + b
+        with pytest.raises(GeneratorError):
+            a - b
+        with pytest.raises(TypeError):
+            a * b
+    assert Poly.zero(GENS) != FreeElement.zero(GENS)
+
+
 def test_scalar_coefficients_collapse():
     x = g("x")
     assert ((Q - Q) * x).is_zero()
     assert (x - x).is_zero()
+
+
+exponents = st.tuples(*[st.integers(0, 2)] * len(GENS))
+
+
+@st.composite
+def polys(draw):
+    terms = draw(st.dictionaries(exponents, st.integers(-3, 3), max_size=4))
+    return Poly(GENS, {m: scalar(c) for m, c in terms.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), polys(), polys())
+def test_ring_axioms(f, p, r):
+    zero = Poly.zero(GENS)
+    assert (f + p) + r == f + (p + r)
+    assert f * (p + r) == f * p + f * r
+    assert (f * p) * r == f * (p * r)
+    assert f * p == p * f
+    assert f - f == zero
+    assert f + zero == f
+    assert f + p == p + f and hash(f + p) == hash(p + f)

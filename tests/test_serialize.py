@@ -111,6 +111,15 @@ def test_quadratic_bad_word():
         serialize.from_data(data)
 
 
+def test_repeated_terms_are_summed():
+    data = serialize.to_data(a0q(2))
+    data["payload"]["relations"][0] += [[[0, 1], "2"], [[1, 0], "q"]]
+    assert serialize.from_data(data).relations[0].terms == {(0, 1): Scalar(3)}
+    data = serialize.to_data(sd_quadratic(2))
+    data["payload"]["table"]["0,1"] += [[[1, 1, 0, 0], "-1"], [[0, 0, 0, 0], "0"]]
+    assert serialize.from_data(data).entry(0, 1).is_zero()
+
+
 def test_file_round_trip(tmp_path):
     path = tmp_path / "obj.json"
     path.write_text(serialize.dumps(jhq(2)), encoding="utf-8")
