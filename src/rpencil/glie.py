@@ -18,6 +18,7 @@ from functools import cached_property, lru_cache
 from .freealg import FreeElement
 from .groebner import quadratic_flag
 from .linalg import DimensionMismatch, Mat, SubspaceBasis, annihilator, complementary, kernel
+from .poisson import gl_structure
 from .quadratic import QuadraticPresentation, jhq
 from .rmatrix import BraidOperator, eigen_split, flip_operator, hecke_s, s_w
 from .scalars import ONE, scalar
@@ -225,15 +226,9 @@ def classical_glie(n: int) -> GeneralizedLieBracket:
     i_minus, i_plus = kernel(delta + 2 * Mat.identity(N * N)), kernel(delta)
     matrix = Mat(N + 1, N * N)
     for u in range(N):
-        i, j = divmod(u, n)
         for v in range(N):
-            k, l = divmod(v, n)
-            col = u * N + v
-            # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
-            if j == k:
-                matrix.add_to(i * n + l, col, ONE)
-            if l == i:
-                matrix.add_to(k * n + j, col, -ONE)
+            for w, sign in gl_structure(n, u, v):
+                matrix.add_to(w, u * N + v, sign * ONE)
     return GeneralizedLieBracket(gens, i_plus, i_minus, matrix)
 
 

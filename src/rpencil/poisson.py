@@ -14,13 +14,15 @@ naming the first nonzero component i<j<k as its witness.
 
 Builders cover the quadratic matrix bracket, its linearization, the gl(n)
 Poisson-Lie bracket, constant symplectic brackets and brackets induced by
-an antisymmetric tensor acting through linear vector fields.
+an antisymmetric tensor acting through linear vector fields.  The matrix
+builders here, in ``quadratic`` and in ``glie`` all read the generator-pair
+table ``matrix_pairs`` and the gl(n) structure constants ``gl_structure``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .commpoly import GeneratorError, Poly
 from .linalg import DimensionMismatch, Mat, SubspaceBasis
@@ -36,10 +38,6 @@ def matrix_generators(n: int):
 
 def coordinate_generators(dim: int):
     return tuple(f"x_{i}" for i in range(1, dim + 1))
-
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
 
 
 class PoissonStructure:
@@ -186,106 +184,97 @@ def pencil(p1: PoissonStructure, p2: PoissonStructure, a, b) -> PoissonStructure
 # ---------------------------------------------------------------------------
 
 
-def _pair_case(r1, c1, r2, c2):
-    """Classify an ordered generator pair (rows r, columns c, 0-based)."""
-    if r1 == r2:
-        return "row"
-    if c1 == c2:
-        return "column"
-    if r1 < r2 and c1 < c2:
-        return "diagonal"
-    return "antidiagonal"
+def is_diagonal(n: int, u: int) -> bool:
+    """Whether the row-major generator u of Fun(Mat(n)) is some a_i^i."""
+    return u % (n + 1) == 0
+
+
+def matrix_pairs(n: int):
+    """The data every bracket and presentation on Fun(Mat(n)) is built from.
+
+    Yields (u, v, case, (x, y), lower) for each generator pair u < v, in
+    row-major order.  ``case`` is "line" when a_u and a_v share a row or a
+    column, "diagonal" when a_v lies below and right of a_u, and
+    "antidiagonal" otherwise.  ``(x, y)`` is the pair's quadratic monomial:
+    (u, v) on a line, (a_{r_v}^{c_u}, a_{r_u}^{c_v}) on a diagonal, None on an
+    antidiagonal.  ``lower`` holds the partner of whichever of x, y is a
+    diagonal generator a_i^i; at most one of them is.
+    """
+    for u in range(n * n):
+        ru, cu = divmod(u, n)
+        for v in range(u + 1, n * n):
+            rv, cv = divmod(v, n)
+            if ru == rv or cu == cv:
+                case, x, y = "line", u, v
+            elif cu < cv:  # ru < rv, since u < v in different rows
+                case, x, y = "diagonal", rv * n + cu, ru * n + cv
+            else:
+                yield u, v, "antidiagonal", None, ()
+                continue
+            lower = (y,) if is_diagonal(n, x) else (x,) if is_diagonal(n, y) else ()
+            yield u, v, case, (x, y), lower
+
+
+# the weight w of {a_u, a_v}_2 = w a_x a_y and of {a_u, a_v}_1 = w a_k
+_WEIGHT = {"line": 1, "diagonal": 2}
+
+
+def matrix_coordinates(n: int, least: int):
+    """The generator names of Fun(Mat(n)) and the generators as polynomials;
+    a ValueError when n < least."""
+    if n < least:
+        raise ValueError(f"need n >= {least}")
+    gens = matrix_generators(n)
+    return gens, [Poly.generator(gens, g) for g in gens]
 
 
 def sd_quadratic(n: int) -> PoissonStructure:
-    """The quadratic matrix bracket {.,.}_2 on Fun(Mat(n))."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    gens = matrix_generators(n)
-
-    def gen(r, c):
-        return Poly.generator(gens, gens[r * n + c])
-
-    table = {}
-    for u in range(n * n):
-        for v in range(u + 1, n * n):
-            r1, c1 = divmod(u, n)
-            r2, c2 = divmod(v, n)
-            case = _pair_case(r1, c1, r2, c2)
-            if case in ("row", "column"):
-                # row-major order makes (u, v) the (i<j) orientation
-                table[(u, v)] = gen(r1, c1) * gen(r2, c2)
-            elif case == "diagonal":
-                table[(u, v)] = 2 * gen(r1, c2) * gen(r2, c1)
-            # antidiagonal pairs commute
-    return PoissonStructure(gens, table)
+    """The quadratic matrix bracket {.,.}_2 on Fun(Mat(n)): w a_x a_y per pair."""
+    gens, a = matrix_coordinates(n, 2)
+    return PoissonStructure(gens, {
+        (u, v): _WEIGHT[case] * a[xy[0]] * a[xy[1]]
+        for u, v, case, xy, _ in matrix_pairs(n)
+        if xy  # antidiagonal pairs commute
+    })
 
 
 def linearized(n: int) -> PoissonStructure:
-    """The linear bracket {.,.}_1 on Fun(Mat(n))."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    gens = matrix_generators(n)
+    """The linear bracket {.,.}_1 on Fun(Mat(n)): w a_k for each k in lower."""
+    gens, a = matrix_coordinates(n, 2)
+    return PoissonStructure(gens, {
+        (u, v): _WEIGHT[case] * a[k] for u, v, case, _, lower in matrix_pairs(n) for k in lower
+    })
 
-    def gen(r, c):
-        return Poly.generator(gens, gens[r * n + c])
 
-    def delta(r, c):
-        return 1 if r == c else 0
-
-    table = {}
-    for u in range(n * n):
-        for v in range(u + 1, n * n):
-            r1, c1 = divmod(u, n)
-            r2, c2 = divmod(v, n)
-            case = _pair_case(r1, c1, r2, c2)
-            p = Poly.zero(gens)
-            if case in ("row", "column"):
-                if delta(r1, c1):
-                    p = p + gen(r2, c2)
-                if delta(r2, c2):
-                    p = p + gen(r1, c1)
-            elif case == "diagonal":
-                if delta(r1, c2):
-                    p = p + 2 * gen(r2, c1)
-                if delta(r2, c1):
-                    p = p + 2 * gen(r1, c2)
-            if p:
-                table[(u, v)] = p
-    return PoissonStructure(gens, table)
+def gl_structure(n: int, u: int, v: int) -> list:
+    """[E_u, E_v] in gl(n) as (w, +-1) pairs: [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    i, j = divmod(u, n)
+    k, l = divmod(v, n)
+    out = []
+    if j == k:
+        out.append((i * n + l, 1))
+    if l == i:
+        out.append((k * n + j, -1))
+    return out
 
 
 def gl_bracket(n: int) -> PoissonStructure:
     """Poisson-Lie bracket of gl(n): {a_i^j, a_k^l} = a_i^l d_k^j - a_k^j d_i^l."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    gens = matrix_generators(n)
-
-    def gen(r, c):
-        return Poly.generator(gens, gens[r * n + c])
-
-    table = {}
-    for u in range(n * n):
-        for v in range(u + 1, n * n):
-            r1, c1 = divmod(u, n)
-            r2, c2 = divmod(v, n)
-            p = Poly.zero(gens)
-            if r2 == c1:
-                p = p + gen(r1, c2)
-            if r1 == c2:
-                p = p - gen(r2, c1)
-            if p:
-                table[(u, v)] = p
-    return PoissonStructure(gens, table)
+    gens, a = matrix_coordinates(n, 1)
+    return PoissonStructure(gens, {
+        (u, v): sum((s * a[w] for w, s in gl_structure(n, u, v)), Poly.zero(gens))
+        for u, v in combinations(range(n * n), 2)
+    })
 
 
 def lambda_linear_term(p: PoissonStructure, n: int) -> PoissonStructure:
     """Coefficient of lam in p's table after the shift a_i^j -> a_i^j + lam*d_i^j."""
     gens = p.generators
-    shift = {}
-    for i in range(n):
-        name = gens[i * n + i]
-        shift[name] = Poly.generator(gens, name) + Poly.constant(gens, LAM)
+    shift = {
+        name: Poly.generator(gens, name) + Poly.constant(gens, LAM)
+        for u, name in enumerate(gens)
+        if is_diagonal(n, u)
+    }
     table = {
         k: entry.substitute(shift).coefficient_of_param("lam", 1)
         for k, entry in p.table.items()
@@ -303,14 +292,12 @@ def double_lie_check(n: int):
     lin = linearized(n)
     gl = gl_bracket(n)
     gens = lin.generators
-    mismatches = []
-    for u in range(n * n):
-        for v in range(n * n):
-            r1, c1 = divmod(u, n)
-            r2, c2 = divmod(v, n)
-            factor = _sign(c1 - r1) + _sign(c2 - r2)
-            if lin.entry(u, v) != gl.entry(u, v) * scalar(factor):
-                mismatches.append((gens[u], gens[v]))
+    side = [(c > r) - (c < r) for r, c in product(range(n), repeat=2)]  # R on a_u
+    mismatches = [
+        (gens[u], gens[v])
+        for u, v in product(range(n * n), repeat=2)
+        if lin.entry(u, v) != gl.entry(u, v) * scalar(side[u] + side[v])
+    ]
     return not mismatches, mismatches
 
 

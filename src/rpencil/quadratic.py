@@ -14,9 +14,9 @@ from .commpoly import GeneratorError
 from .freealg import FreeElement
 from .groebner import NcIdeal, complete, filtration_dims, hilbert, normal_form, quadratic_flag
 from .linalg import Mat, SubspaceBasis, image
-from .poisson import _pair_case, matrix_generators
+from .poisson import is_diagonal, matrix_generators, matrix_pairs
 from .rmatrix import hecke_s, s_w
-from .scalars import H, LAM, Q, scalar
+from .scalars import H, LAM, ONE, Q, scalar
 
 
 class ConsistencyError(Exception):
@@ -84,49 +84,24 @@ def _relations_in(p: QuadraticPresentation, target: QuadraticPresentation, degre
 
 
 def _pair_relations(n: int, with_lower: bool):
-    """The relation list shared by the graded and filtered builders."""
+    """The relation list shared by the graded and filtered builders, one
+    relation per pair of ``matrix_pairs(n)``."""
     gens = matrix_generators(n)
-    N = n * n
 
-    def word(u, v):
-        return FreeElement.word(gens, (u, v))
-
-    def lin(u):
-        return FreeElement.word(gens, (u,))
-
-    def delta(pos):
-        r, c = divmod(pos, n)
-        return 1 if r == c else 0
+    def word(*indices):
+        return FreeElement.word(gens, indices)
 
     qm = Q - 1 / Q
-    m = 1 + 1 / Q
+    lower_coeff = {"line": H, "diagonal": H * (1 + 1 / Q)}
     rels = []
-    for u in range(N):
-        for v in range(u + 1, N):
-            r1, c1 = divmod(u, n)
-            r2, c2 = divmod(v, n)
-            case = _pair_case(r1, c1, r2, c2)
-            if case in ("row", "column"):
-                rel = word(u, v) - Q * word(v, u)
-                if with_lower:
-                    if delta(u):
-                        rel = rel - H * lin(v)
-                    if delta(v):
-                        rel = rel - H * lin(u)
-            elif case == "diagonal":
-                w1 = r2 * n + c1  # a_k^j
-                w2 = r1 * n + c2  # a_i^l
-                rel = word(u, v) - word(v, u) - qm * word(w1, w2)
-                if with_lower:
-                    hm = H * m
-                    if delta(w2):
-                        rel = rel - hm * lin(w1)
-                    if delta(w1):
-                        rel = rel - hm * lin(w2)
-            else:
-                # antidiagonal pair: plain commutator, no lower terms
-                rel = word(u, v) - word(v, u)
-            rels.append(rel)
+    for u, v, case, xy, lower in matrix_pairs(n):
+        rel = word(u, v) - (Q if case == "line" else ONE) * word(v, u)
+        if case == "diagonal":
+            rel = rel - qm * word(*xy)
+        if with_lower:
+            for k in lower:
+                rel = rel - lower_coeff[case] * word(k)
+        rels.append(rel)
     return gens, rels
 
 
@@ -172,11 +147,6 @@ def lambda_substitute(p: QuadraticPresentation, lam=LAM) -> QuadraticPresentatio
     if n * n != len(gens):
         raise GeneratorError("generators are not matrix coefficients")
     lam = scalar(lam)
-
-    def diagonal(pos):
-        r, c = divmod(pos, n)
-        return r == c
-
     out = []
     for rel in p.relations:
         terms: dict = {}
@@ -187,12 +157,12 @@ def lambda_substitute(p: QuadraticPresentation, lam=LAM) -> QuadraticPresentatio
 
         for (u, v), c in rel.terms.items():
             put((u, v), c)
-            if diagonal(v):
+            if is_diagonal(n, v):
                 put((u,), c * lam)
-            if diagonal(u):
+            if is_diagonal(n, u):
                 put((v,), c * lam)
-            if diagonal(u) and diagonal(v):
-                put((), c * lam * lam)
+                if is_diagonal(n, v):
+                    put((), c * lam * lam)
         shifted = FreeElement(gens, terms)
         const = shifted.terms.get((), None)
         if const:

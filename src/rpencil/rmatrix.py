@@ -5,10 +5,11 @@ on matrix-coefficient space, with Schouten, QYBE and eigenspace machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .commpoly import Poly
 from .linalg import DimensionMismatch, Mat, SubspaceBasis, image, kernel
-from .poisson import MatrixRep, PoissonStructure, matrix_generators, sd_quadratic
+from .poisson import MatrixRep, PoissonStructure, matrix_coordinates, sd_quadratic
 from .scalars import ONE, Q, Scalar, scalar
 
 
@@ -168,22 +169,12 @@ def sklyanin_from_r(n: int):
     Returns (PoissonStructure, kappa).  Raises NormalizationError if no
     single kappa reproduces the reference table.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    gens = matrix_generators(n)
+    gens, a = matrix_coordinates(n, 2)
     r = canonical_r(n)
-
-    def gen(i, j):
-        return Poly.generator(gens, gens[i * n + j])
-
-    # L (x) L with commuting symbolic entries: entry ((i,k),(j,l)) = a_i^j a_k^l
     size = n * n
-    ll = [[None] * size for _ in range(size)]
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
-                for l in range(n):
-                    ll[i * n + k][j * n + l] = gen(i, j) * gen(k, l)
+    pairs = list(product(range(n), repeat=2))
+    # L (x) L with commuting symbolic entries: entry ((i,k),(j,l)) = a_i^j a_k^l
+    ll = [[a[i * n + j] * a[k * n + l] for j, l in pairs] for i, k in pairs]
     zero = Poly.zero(gens)
     comm = [[zero] * size for _ in range(size)]
     # C = R (L x L) - (L x L) R, exploiting R's sparsity
@@ -196,32 +187,25 @@ def sklyanin_from_r(n: int):
     reference = sd_quadratic(n)
     kappa = None
     table = {}
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
-                for l in range(n):
-                    u, v = i * n + j, k * n + l
-                    got = comm[i * n + k][j * n + l]
-                    want = reference.entry(u, v)
-                    if not got:
-                        if want:
-                            raise NormalizationError(
-                                f"zero entry where reference has {want}"
-                            )
-                        continue
-                    ratio = _poly_ratio(want, got)
-                    if ratio is None:
-                        raise NormalizationError(
-                            f"entry ({gens[u]},{gens[v]}) is not proportional to the reference"
-                        )
-                    if kappa is None:
-                        kappa = ratio
-                    elif kappa != ratio:
-                        raise NormalizationError(
-                            f"inconsistent normalization: {kappa} vs {ratio}"
-                        )
-                    if u < v:
-                        table[(u, v)] = got * kappa
+    for (i, k), (j, l) in product(pairs, repeat=2):
+        u, v = i * n + j, k * n + l
+        got = comm[i * n + k][j * n + l]
+        want = reference.entry(u, v)
+        if not got:
+            if want:
+                raise NormalizationError(f"zero entry where reference has {want}")
+            continue
+        ratio = _poly_ratio(want, got)
+        if ratio is None:
+            raise NormalizationError(
+                f"entry ({gens[u]},{gens[v]}) is not proportional to the reference"
+            )
+        if kappa is None:
+            kappa = ratio
+        elif kappa != ratio:
+            raise NormalizationError(f"inconsistent normalization: {kappa} vs {ratio}")
+        if u < v:
+            table[(u, v)] = got * kappa
     if kappa is None:
         raise NormalizationError("commutator table is identically zero")
     return PoissonStructure(gens, table), kappa

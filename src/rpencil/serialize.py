@@ -17,6 +17,7 @@ text that fails to parse is never stored, so its first occurrence raises.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .commpoly import Poly
 from .freealg import FreeElement
@@ -30,6 +31,9 @@ from .scalars import Scalar, ScalarError
 SCHEMA_VERSION = 1
 
 KINDS = ("poisson", "braid", "rmatrix", "quadratic", "glie")
+
+# rows a matrix may declare beyond the entries its file lists
+MAX_SPARSE_ROWS = 10_000
 
 
 class FormatError(Exception):
@@ -86,7 +90,8 @@ def _mat_in(data, path: str, shape: tuple, scalars: dict, invertible: bool = Fal
     """A matrix whose declared shape must equal shape, checked before allocating.
 
     An invertible matrix has an entry in every row, so its declared rows are
-    bounded by the entries the file lists.
+    bounded by the entries the file lists; any other matrix may declare more
+    rows than entries only up to MAX_SPARSE_ROWS.
     """
     nrows = _expect_int(data, "nrows", path)
     ncols = _expect_int(data, "ncols", path)
@@ -95,6 +100,9 @@ def _mat_in(data, path: str, shape: tuple, scalars: dict, invertible: bool = Fal
     entries = _expect(data, "entries", dict, path)
     if invertible and len(entries) < nrows:
         raise FormatError(path, f"needs an entry in each of its {nrows} rows, got {len(entries)}")
+    if nrows > max(len(entries), MAX_SPARSE_ROWS):
+        limit = f"its {len(entries)} entries and {MAX_SPARSE_ROWS}"
+        raise FormatError(path, f"{nrows} rows exceed both {limit}")
     m = Mat(nrows, ncols)
     for key, text in entries.items():
         here = f"{path}.entries[{key}]"
@@ -314,9 +322,18 @@ def dumps(obj) -> str:
     return json.dumps(to_data(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key would silently keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise FormatError("$", f"repeated key {key!r}")
+    return obj
+
+
 def loads(text: str):
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError("$", f"invalid JSON: {exc}") from None
     except RecursionError:

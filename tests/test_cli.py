@@ -82,6 +82,16 @@ def test_parse_invalid_file_exits_2(tmp_path, capsys):
     assert "2/4" in capsys.readouterr().err
 
 
+def test_parse_repeated_key_exits_2(tmp_path, capsys):
+    text = serialize.dumps(a0q(2)).replace('"flag":"graded"', '"flag":"graded","flag":"filtered"')
+    path = tmp_path / "pres.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["parse", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: $: repeated key 'flag'"]
+
+
 @pytest.mark.parametrize("field", ["generator-index", "exponent"])
 def test_parse_rejects_boolean_integers(tmp_path, capsys, field):
     # JSON true and false load as the Python ints 1 and 0; accepting them

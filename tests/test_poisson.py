@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpencil.commpoly import GeneratorError, Poly
+from rpencil.linalg import Mat
 from rpencil.poisson import (
     MatrixRep,
     PoissonStructure,
@@ -13,16 +14,18 @@ from rpencil.poisson import (
     coordinate_generators,
     double_lie_check,
     gl_bracket,
+    gl_structure,
     lambda_linear_term,
     linearized,
     matrix_generators,
+    matrix_pairs,
     pencil,
     rmatrix_bracket,
     schouten_bracket,
     sd_quadratic,
 )
 from rpencil.rmatrix import canonical_r_sp, sp_fundamental
-from rpencil.scalars import Q, scalar
+from rpencil.scalars import ONE, Q, scalar
 
 
 def P(gens, name):
@@ -195,3 +198,42 @@ def test_schouten_matches_leibniz(pair):
         assert components == reference
         assert list(components) == list(reference)
         assert all(components.values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_matrix_pairs_match_row_column_definitions(n):
+    # a_u = a_{r_u}^{c_u}, row-major; checked against the definitions written
+    # out on (row, column) pairs rather than on indices
+    pairs = list(matrix_pairs(n))
+    assert [(u, v) for u, v, *_ in pairs] == list(combinations(range(n * n), 2))
+    index = {(r, c): r * n + c for r in range(n) for c in range(n)}
+    for u, v, case, xy, lower in pairs:
+        (ru, cu), (rv, cv) = divmod(u, n), divmod(v, n)
+        if ru == rv or cu == cv:
+            assert (case, xy) == ("line", (u, v))
+        elif ru < rv and cu < cv:
+            assert (case, xy) == ("diagonal", (index[rv, cu], index[ru, cv]))
+        else:
+            assert (case, xy, lower) == ("antidiagonal", None, ())
+            continue
+        x, y = (divmod(w, n) for w in xy)
+        want = [index[y]] if x[0] == x[1] else [index[x]] if y[0] == y[1] else []
+        assert list(lower) == want
+        assert not (x[0] == x[1] and y[0] == y[1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gl_structure_is_the_commutator(n):
+    N = n * n
+
+    def elementary(w):
+        m = Mat(n, n)
+        m.set(*divmod(w, n), ONE)
+        return m
+
+    for u, v in product(range(N), repeat=2):
+        want = elementary(u) * elementary(v) - elementary(v) * elementary(u)
+        got = Mat(n, n)
+        for w, sign in gl_structure(n, u, v):
+            got.add_to(*divmod(w, n), scalar(sign))
+        assert got == want, (u, v)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import tracemalloc
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpencil
 from rpencil import serialize
 from rpencil.glie import type2_bracket
 from rpencil.poisson import linearized, sd_quadratic
@@ -202,22 +204,71 @@ def test_braid_dim_bounded_by_entries_before_allocating():
     assert peak < 5 * 2**20
 
 
-DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+def test_rmatrix_dim_bounded_by_entries_before_allocating():
+    # an r-matrix may have empty rows, but a file that declares far more rows
+    # than it lists entries must fail before dim^2 rows are built
+    data = serialize.to_data(canonical_r(2))
+    data["payload"] = {
+        "dim": 1000, "matrix": {"nrows": 10**6, "ncols": 10**6, "entries": {}}
+    }
+    text = json.dumps(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            serialize.loads(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.path == "$.payload.matrix"
+    assert "1000000 rows exceed both its 0 entries and 10000" in str(err.value)
+    assert peak < 5 * 2**20
 
-PINNED_FILES = {
-    "type2_bracket-3": lambda: type2_bracket(3),
-    "a0q-3": lambda: a0q(3),
-    "jhq-3": lambda: jhq(3),
-    "s_w-3": lambda: s_w(hecke_s(3)),
-}
+
+def test_rmatrix_rows_up_to_the_bound_may_be_empty():
+    data = serialize.to_data(canonical_r(2))
+    data["payload"] = {"dim": 10, "matrix": {"nrows": 100, "ncols": 100, "entries": {}}}
+    assert serialize.loads(json.dumps(data)).mat.is_zero()
+
+
+@pytest.mark.parametrize("key", ["entry", "kind"])
+def test_repeated_json_key_is_rejected(key):
+    # json.loads keeps the last of two equal keys; a file must not load as
+    # something other than what one of its readers sees
+    text = serialize.dumps(hecke_s(2))
+    if key == "entry":
+        twice, name = text.replace('"0,0":"q",', '"0,0":"q","0,0":"1",'), "0,0"
+    else:
+        twice, name = text.replace('"kind":"braid",', '"kind":"braid","kind":"rmatrix",'), "kind"
+    assert twice != text
+    with pytest.raises(FormatError) as err:
+        serialize.loads(twice)
+    assert err.value.path == "$"
+    assert f"repeated key {name!r}" in str(err.value)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _parse_files():
+    """spec.PARSE_FILES of the benchmark as {file name: (factory, n)}."""
+    loader = importlib.util.spec_from_file_location("perfbench_spec", PERFBENCH / "spec.py")
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return {name: (factory, n) for name, factory, n in module.PARSE_FILES}
+
+
+PINNED_FILES = _parse_files()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_FILES))
 def test_canonical_files_match_benchmark_digests(name):
-    # the benchmark's parse workload pins these files; a change to dumps or
-    # to the load path must show up here, not first in a benchmark run
-    want = json.loads(DIGESTS.read_text(encoding="utf-8"))["files"][name]
-    text = serialize.dumps(PINNED_FILES[name]())
+    # the benchmark's parse workload pins these files; a change to dumps, to
+    # the load path or to a builder must show up here, not first in a
+    # benchmark run.  "s_w" means s_w(hecke_s(n)), as in perfbench/child.py
+    factory, n = PINNED_FILES[name]
+    obj = s_w(hecke_s(n)) if factory == "s_w" else getattr(rpencil, factory)(n)
+    want = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))["files"][name]
+    text = serialize.dumps(obj)
     assert hashlib.sha256(text.encode()).hexdigest() == want
     assert serialize.dumps(serialize.loads(text)) == text
 
