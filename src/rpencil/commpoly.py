@@ -108,6 +108,9 @@ class Terms:
         """Apply fn to every coefficient, dropping those it sends to zero."""
         return type(self)(self.generators, {k: fn(c) for k, c in self.terms.items()})
 
+    def specialize(self, assignment: dict):
+        return self.scalar_map(lambda c: c.specialize(assignment))
+
     def __repr__(self):
         return f"{type(self).__name__}({self})"
 
@@ -151,24 +154,6 @@ class Poly(Terms):
     def total_degree(self) -> int:
         """Maximal total degree; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
-
-    def substitute(self, images: dict) -> "Poly":
-        """Substitute generators (by name) with polynomials."""
-        gen_polys = [
-            images.get(name, Poly.generator(self.generators, name))
-            for name in self.generators
-        ]
-        out = Poly(self.generators)
-        for m, c in self.terms.items():
-            term = Poly.constant(self.generators, c)
-            for g, e in zip(gen_polys, m):
-                for _ in range(e):
-                    term = term * g
-            out = out + term
-        return out
-
-    def coefficient_of_param(self, name: str, power: int) -> "Poly":
-        return self.scalar_map(lambda c: c.coefficient_of(name, power))
 
     def __str__(self):
         if not self.terms:

@@ -56,9 +56,6 @@ class FreeElement(Terms):
             self.generators, {w: c for w, c in self.terms.items() if len(w) == degree}
         )
 
-    def specialize(self, assignment: dict) -> "FreeElement":
-        return self.scalar_map(lambda c: c.specialize(assignment))
-
     def to_vector(self, degree: int) -> dict:
         """Coordinates in the standard word basis of the degree-th tensor power."""
         n = len(self.generators)

@@ -311,10 +311,10 @@ def complementary(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch(f"ambient {a.ambient_dim} vs {b.ambient_dim}")
-    return a.dim + b.dim == a.ambient_dim and _rank_modulo_reaches(a.rows, b, a.dim)
+    return a.dim + b.dim == a.ambient_dim and rank_modulo_reaches(a.rows, b, a.dim)
 
 
-def _rank_modulo_reaches(rows, b: SubspaceBasis, target: int) -> bool:
+def rank_modulo_reaches(rows, b: SubspaceBasis, target: int) -> bool:
     """Whether the residuals of rows against b's reduced basis have rank target.
 
     The caller knows that rank is at most target.  It is taken first at the

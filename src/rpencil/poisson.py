@@ -26,7 +26,7 @@ from itertools import combinations, product
 
 from .commpoly import GeneratorError, Poly
 from .linalg import DimensionMismatch, Mat, SubspaceBasis
-from .scalars import LAM, Scalar, scalar
+from .scalars import PoleError, scalar
 
 
 def matrix_generators(n: int):
@@ -268,18 +268,24 @@ def gl_bracket(n: int) -> PoissonStructure:
 
 
 def lambda_linear_term(p: PoissonStructure, n: int) -> PoissonStructure:
-    """Coefficient of lam in p's table after the shift a_i^j -> a_i^j + lam*d_i^j."""
+    """Coefficient of lam in p's table after the shift a_i^j -> a_i^j + lam*d_i^j.
+
+    With coefficients free of lam, that is the sum of each entry's partial
+    derivatives along the diagonal generators; a table whose coefficients
+    involve lam raises ValueError.
+    """
+    try:
+        free = all(e.specialize({"lam": 0}) == e for e in p.table.values())
+    except PoleError:
+        free = False
+    if not free:
+        raise ValueError("lambda_linear_term needs coefficients free of lam")
     gens = p.generators
-    shift = {
-        name: Poly.generator(gens, name) + Poly.constant(gens, LAM)
-        for u, name in enumerate(gens)
-        if is_diagonal(n, u)
-    }
-    table = {
-        k: entry.substitute(shift).coefficient_of_param("lam", 1)
+    diagonal = [u for u in range(len(gens)) if is_diagonal(n, u)]
+    return PoissonStructure(gens, {
+        k: sum((entry.diff(u) for u in diagonal), Poly.zero(gens))
         for k, entry in p.table.items()
-    }
-    return PoissonStructure(gens, table)
+    })
 
 
 def double_lie_check(n: int):

@@ -137,16 +137,16 @@ class Scalar:
 
     @staticmethod
     def parse(text: str) -> "Scalar":
-        """Parse a Scalar from an arithmetic expression in q, h, lam.
+        """Read a Scalar in the shape ``str`` prints, and cancel it.
 
-        Accepted: integer literals, the parameters, ``+ - * /``, ``**`` with
-        a non-negative integer literal exponent (at most _MAX_EXPONENT), and
-        parentheses.  Nothing is evaluated as Python.
+        The text is ``P`` or ``P/P``.  Each P is a sum of terms, optionally
+        in one pair of parentheses, whose first term alone may carry a sign;
+        a term is an optional integer, then factors ``q``, ``h`` or ``lam``,
+        each optionally ``**e`` with 0 <= e <= _MAX_EXPONENT, joined by
+        ``*``.  A value larger than _MAX_WORK allows is refused before it is
+        cancelled.  Nothing is evaluated as Python.
         """
-        try:
-            return _new(_Parser(text).parse())
-        except RecursionError:
-            raise ScalarError(f"cannot parse scalar {text!r}: nested too deeply") from None
+        return _new(_read(text))
 
     @staticmethod
     def parse_canonical(text: str) -> "Scalar":
@@ -292,20 +292,6 @@ class Scalar:
             raise PoleError(f"denominator of {self} vanishes at {named}")
         return num / den if isinstance(num, Scalar) else _new(num / den)
 
-    def coefficient_of(self, name: str, power: int) -> "Scalar":
-        """Coefficient of name**power, valid when the denominator is free of name."""
-        idx = PARAMETERS.index(name)
-        f = self._f
-        if not isinstance(f, RatFunc):
-            return self if power == 0 else ZERO
-        if any(monom[idx] for monom in f.denom):
-            raise ScalarError(f"denominator of {self} involves {name}")
-        num = {}
-        for monom, coeff in f.numer.items():
-            if monom[idx] == power:
-                num[monom[:idx] + (0,) + monom[idx + 1 :]] = coeff
-        return _new(_demote(RatFunc.new(num, f.denom)))
-
     def __str__(self):
         return str(self._f)
 
@@ -331,145 +317,79 @@ def _eval_poly(poly, images):
     return out
 
 
-# -- parser ---------------------------------------------------------------
+# -- reader ---------------------------------------------------------------
 
 #: largest exponent literal Scalar.parse accepts; canonical forms in this
 #: package stay far below it
 _MAX_EXPONENT = 100
 
-#: bound on the work Scalar.parse does for an untrusted string: no product
-#: it forms may have factors whose term counts multiply, or whose largest
-#: coefficients' bit lengths add, to more than this, no power of a monomial
-#: may have more coefficient bits or a higher degree, and the final
-#: numerator and denominator are not cancelled if their term counts multiply
-#: to more than this
+#: bound on the value Scalar.parse cancels for an untrusted string: the
+#: numerator's and the denominator's term counts may not multiply to more
+#: than this, nor may either one's prod_v (deg_v + 1) times the bit length of
+#: its largest coefficient exceed it
 _MAX_WORK = 10_000
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\*\*|[-+*/()]))", re.ASCII)
+_SIGN = re.compile(r"\s*([-+])\s*")
+_FACTOR = r"(q|h|lam)(?:\*\*(\d+))?"
+_TERM = re.compile(rf"(?:(\d+)|{_FACTOR})(?:\*{_FACTOR})*\Z", re.ASCII)
+_FACTORS = re.compile(_FACTOR)
+_INDEX = {name: i for i, name in enumerate(PARAMETERS)}
 
 
-class _Parser:
-    """Recursive descent over Python's precedence for + - * / ** and unary sign.
+def _fail(text: str, reason: str):
+    raise ScalarError(f"cannot parse scalar {text!r}: {reason}")
 
-    Every subexpression is an unreduced pair (numerator, denominator) of
-    integer polynomials; the final value is cancelled once.
+
+def _read_poly(text: str, part: str):
+    """The polynomial a sum of terms spells, e.g. ``(-2*q**2*h + lam - 3)``.
+
+    One pair of parentheses may wrap the sum, and only its first term may
+    carry a sign; a name may repeat in a term, and its exponents add.
     """
+    body = part.strip()
+    if body[:1] == "(" and body[-1:] == ")":
+        body = body[1:-1].strip()
+    pieces = _SIGN.split(body)  # term, sign, term, sign, ..., term
+    pieces = pieces[1:] if pieces[:2] == ["", "-"] else ["+", *pieces]
+    out = {}
+    for sign, term in zip(pieces[::2], pieces[1::2]):
+        m = _TERM.match(term)
+        if m is None:
+            _fail(text, f"cannot read term {term!r}")
+        try:
+            coeff = int(m[1] or 1)
+        except ValueError:
+            _fail(text, "integer literal too long")
+        monom = [0, 0, 0]
+        for name, exp in _FACTORS.findall(term):
+            if len(exp) > 3 or int(exp or 1) > _MAX_EXPONENT:
+                _fail(text, f"exponent must be an integer from 0 to {_MAX_EXPONENT}")
+            monom[_INDEX[name]] += int(exp or 1)
+        monom = tuple(monom)
+        out[monom] = out.get(monom, 0) + (coeff if sign == "+" else -coeff)
+    return {m: c for m, c in out.items() if c}
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = []
-        text = text.rstrip()
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                self.fail(f"unexpected character {text[pos:].lstrip()[:1]!r}")
-            number, name, op = m.groups()
-            if name is not None and name not in ratfunc.GENS:
-                self.fail(f"unknown name {name!r}")
-            self.tokens.append(number or name or op)
-            pos = m.end()
-        self.pos = 0
 
-    def fail(self, reason: str):
-        raise ScalarError(f"cannot parse scalar {self.text!r}: {reason}")
+def _size(p) -> int:
+    """prod_v (deg_v + 1) times the bit length of p's largest coefficient."""
+    size = ratfunc.max_norm(p).bit_length()
+    for v in range(len(PARAMETERS)):
+        size *= 1 + max((m[v] for m in p), default=0)
+    return size
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        num, den = self.sum()
-        if self.peek() is not None:
-            self.fail(f"unexpected {self.peek()!r}")
-        if len(num) * len(den) > _MAX_WORK:
-            self.fail("value too large")
-        return _demote(RatFunc.new(num, den))
-
-    def sum(self):
-        num, den = self.product()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            n2, d2 = self.product()
-            if den != d2:
-                num, n2, den = self.mul(num, d2), self.mul(n2, den), self.mul(den, d2)
-            num = ratfunc.add(num, n2) if op == "+" else ratfunc.sub(num, n2)
-        return num, den
-
-    def product(self):
-        num, den = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            n2, d2 = self.unary()
-            if op == "*":
-                num, den = self.mul(num, n2), self.mul(den, d2)
-            elif not n2:
-                self.fail("division by zero")
-            else:
-                num, den = self.mul(num, d2), self.mul(den, n2)
-        return num, den
-
-    def unary(self):
-        if self.peek() in ("+", "-"):
-            sign = self.take()
-            num, den = self.unary()
-            return (ratfunc.neg(num) if sign == "-" else num), den
-        return self.power()
-
-    def power(self):
-        num, den = self.atom()
-        if self.peek() == "**":
-            self.take()
-            exp = self.take()
-            if not exp.isdigit() or len(exp) > 3 or int(exp) > _MAX_EXPONENT:
-                self.fail(f"exponent must be an integer literal from 0 to {_MAX_EXPONENT}")
-            exp = int(exp)
-            num, den = self.pow(num, exp), self.pow(den, exp)
-        return num, den
-
-    def mul(self, a, b):
-        """a*b, refused before it is formed if it exceeds _MAX_WORK."""
-        bits = ratfunc.max_norm(a).bit_length() + ratfunc.max_norm(b).bit_length()
-        if len(a) * len(b) > _MAX_WORK or bits > _MAX_WORK:
-            self.fail("value too large")
-        return ratfunc.mul(a, b)
-
-    def pow(self, a, exp: int):
-        """a**exp; a monomial's power is taken at once, any other by repeated
-        multiplication, so each step is checked.  0**0 is 1, as in Python.
-        """
-        if len(a) == 1:
-            ((monom, coeff),) = a.items()
-            if max(coeff.bit_length(), sum(monom)) * exp > _MAX_WORK:
-                self.fail("value too large")
-            return ratfunc.power(a, exp)
-        out = ratfunc.ONE
-        for _ in range(exp):
-            out = self.mul(out, a)
-        return out
-
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            value = self.sum()
-            if self.take() != ")":
-                self.fail("expected ')'")
-            return value
-        if tok in ratfunc.GENS:
-            return ratfunc.GENS[tok], ratfunc.ONE
-        if tok.isdigit():
-            try:
-                value = int(tok)
-            except ValueError:
-                self.fail("integer literal too long")
-            return ({ratfunc.CONST: value} if value else {}), ratfunc.ONE
-        self.fail(f"unexpected {tok!r}")
+def _read(text: str):
+    """The cancelled value of ``P`` or ``P/P``, each P read by _read_poly."""
+    parts = text.split("/")
+    if len(parts) > 2:
+        _fail(text, "more than one '/'")
+    num = _read_poly(text, parts[0])
+    den = _read_poly(text, parts[1]) if len(parts) == 2 else ratfunc.ONE
+    if not den:
+        _fail(text, "division by zero")
+    if len(num) * len(den) > _MAX_WORK or max(_size(num), _size(den)) > _MAX_WORK:
+        _fail(text, "value too large")
+    return _demote(RatFunc.new(num, den))
 
 
 ZERO = Scalar(0)

@@ -20,7 +20,7 @@ from . import quadratic as _quadratic
 from . import rmatrix as _rmatrix
 from .commpoly import Poly
 from .freealg import FreeElement
-from .linalg import Mat, SubspaceBasis, _rank_modulo_reaches, complementary
+from .linalg import Mat, SubspaceBasis, complementary, rank_modulo_reaches
 from .scalars import DEFAULT_ASSIGNMENT, H, LAM, ONE, Q, Scalar
 
 SUITES = ("pencil-type1", "pencil-type2", "quantum-type2", "glie", "all")
@@ -369,7 +369,7 @@ def _overlap_certified(g) -> bool:
     right = SubspaceBasis(g.dim * i.ambient_dim, eye.kron(rows).rows)
     return all(
         left.contains(row) and right.contains(row) for row in overlap.rows
-    ) and _rank_modulo_reaches(right.rows, left, g.dim * i.dim - overlap.dim)
+    ) and rank_modulo_reaches(right.rows, left, g.dim * i.dim - overlap.dim)
 
 
 def _opt(witness):

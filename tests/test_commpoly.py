@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from rpencil.commpoly import GeneratorError, Poly
 from rpencil.freealg import FreeElement
-from rpencil.scalars import LAM, Q, scalar
+from rpencil.scalars import Q, scalar
 
 GENS = ("x", "y", "z")
 
@@ -36,21 +36,6 @@ def test_diff():
     assert p.diff(0) == 2 * x * y + Poly.constant(GENS, 2)
     assert p.diff(1) == x * x
     assert p.diff(2).is_zero()
-
-
-def test_substitute():
-    x, y = g("x"), g("y")
-    p = x * y + x
-    shifted = p.substitute({"x": x + Poly.constant(GENS, LAM)})
-    expected = x * y + LAM * y + x + Poly.constant(GENS, LAM)
-    assert shifted == expected
-
-
-def test_coefficient_of_param():
-    x = g("x")
-    p = (Q * LAM) * x + LAM * LAM * x * x
-    assert p.coefficient_of_param("lam", 1) == Q * x
-    assert p.coefficient_of_param("lam", 2) == x * x
 
 
 def test_generator_mismatch():

@@ -25,7 +25,7 @@ from rpencil.poisson import (
     sd_quadratic,
 )
 from rpencil.rmatrix import canonical_r_sp, sp_fundamental
-from rpencil.scalars import ONE, Q, scalar
+from rpencil.scalars import LAM, ONE, Q, scalar
 
 
 def P(gens, name):
@@ -121,8 +121,15 @@ def test_compatibility_needs_same_generators():
 
 
 def test_linearization():
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         assert lambda_linear_term(sd_quadratic(n), n) == linearized(n)
+
+
+@pytest.mark.parametrize("c", [LAM, 1 / LAM, Q / (LAM + 1)], ids=["lam", "1/lam", "q/(lam + 1)"])
+def test_linearization_refuses_lam_coefficients(c):
+    # the derivative gives the lam-linear term only for lam-free coefficients
+    with pytest.raises(ValueError, match="free of lam"):
+        lambda_linear_term(sd_quadratic(2).scale(c), 2)
 
 
 def test_double_lie_identity():
