@@ -135,13 +135,20 @@ def test_parse_unreadable_file_exits_2(tmp_path, capsys, content, reason):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, reason",
     [
-        "(q**100*h**100*lam**100 - 1)/(q**50*h**50*lam**50 - 1)",
-        "(q**100 + h**100 + lam**100)/(q**99*h - h**99*lam + lam**99*q)",
+        pytest.param(text, reason, id=text)
+        for text, reason in [
+            ("(q**100*h**100*lam**100 - 1)/(q**50*h**50*lam**50 - 1)", "value too large"),
+            ("(q**100 + h**100 + lam**100)/(q**99*h - h**99*lam + lam**99*q)", "value too large"),
+            # out of the printed shape: refused as unreadable, never formed
+            ("((2**100)**100)**2", "cannot read term '((2**100)**100)**2'"),
+            ("((q+h+lam+1)**20)**3", "cannot read term '((q'"),
+            ("((q+h+lam+1)**22*(q+h+lam+5))/((q+h+lam+2)**22*(q+h+lam+3))", "cannot read term '(q'"),
+        ]
     ],
 )
-def test_parse_oversized_scalar_exits_2(tmp_path, capsys, text):
+def test_parse_oversized_scalar_exits_2(tmp_path, capsys, text, reason):
     data = serialize.to_data(hecke_s(2))
     data["payload"]["matrix"]["entries"]["1,2"] = text
     path = tmp_path / "braid.json"
@@ -152,7 +159,7 @@ def test_parse_oversized_scalar_exits_2(tmp_path, capsys, text):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: $.payload.matrix.entries[1,2]: ")
-    assert lines[0].endswith("value too large")
+    assert lines[0].endswith(reason)
 
 
 @pytest.mark.parametrize(

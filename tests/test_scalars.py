@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -138,11 +139,6 @@ def test_parse_canonical_accepts_printed_forms(text):
         "(-q)**2",
         "2*q**3/4 - -h",
         "q**0 + (q - q)**0",
-        "((2**100)**100)**2",
-        "((q+h+lam+1)**20)**3",
-        "((q+h+lam+1)**20)**5",
-        "((q**100)**100)**2",
-        "((q+h+lam+1)**22*(q+h+lam+5))/((q+h+lam+2)**22*(q+h+lam+3))",
         "(q+1)**100",
         "(2**100)**99",
     ],
@@ -170,21 +166,35 @@ _MANY_TERMS = "({})/({})".format(
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, reason",
     [
-        "(q**100*h**100*lam**100 - 1)/(q**50*h**50*lam**50 - 1)",
-        "(q**100 + h**100 + lam**100)/(q**99*h - h**99*lam + lam**99*q)",
-        _SPREAD,
-        "({}*q**99*h**99 - 1)/(q**99 - h**99)".format("7" * 1500),
-        _MANY_TERMS,
+        # in the printed shape: the value is refused before any gcd is taken
+        pytest.param(text, "value too large", id=name)
+        for name, text in [
+            ("degree-3x100", "(q**100*h**100*lam**100 - 1)/(q**50*h**50*lam**50 - 1)"),
+            ("degree-100-sum", "(q**100 + h**100 + lam**100)/(q**99*h - h**99*lam + lam**99*q)"),
+            ("repeated-names", _SPREAD),
+            ("long-coefficient", "({}*q**99*h**99 - 1)/(q**99 - h**99)".format("7" * 1500)),
+            ("term-count", _MANY_TERMS),
+        ]
+    ]
+    + [
+        # powers and products of sums, which the printer never writes: the
+        # string is refused as unreadable before any value is formed
+        pytest.param(text, "cannot read term", id=text)
+        for text in [
+            "((2**100)**100)**2",
+            "((q+h+lam+1)**20)**3",
+            "((q+h+lam+1)**20)**5",
+            "((q**100)**100)**2",
+            "((q+h+lam+1)**22*(q+h+lam+5))/((q+h+lam+2)**22*(q+h+lam+3))",
+        ]
     ],
-    ids=["degree-3x100", "degree-100-sum", "repeated-names", "long-coefficient", "term-count"],
 )
-def test_parse_bounds_its_work(text):
-    # each string is in the printed shape and short, but its value is too
-    # large to cancel; it is refused before any gcd is taken
+def test_parse_bounds_its_work(text, reason):
+    # each string is short, but its value is too large to cancel
     start = time.perf_counter()
-    with pytest.raises(ScalarError, match="value too large"):
+    with pytest.raises(ScalarError, match=re.escape(reason)):
         Scalar.parse(text)
     assert time.perf_counter() - start < 1
 
