@@ -151,10 +151,6 @@ class Poly(Terms):
             terms[dm] = nc if prev is None else prev + nc
         return Poly(self.generators, terms)
 
-    def total_degree(self) -> int:
-        """Maximal total degree; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
-
     def __str__(self):
         if not self.terms:
             return "0"

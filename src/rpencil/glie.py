@@ -221,9 +221,7 @@ def classical_glie(n: int) -> GeneralizedLieBracket:
         raise ValueError("need n >= 1")
     gens = tuple(f"e_{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     N = n * n
-    flip = flip_operator(N)
-    delta = flip.mat - Mat.identity(N * N)
-    i_minus, i_plus = kernel(delta + 2 * Mat.identity(N * N)), kernel(delta)
+    i_minus, i_plus = eigen_split(flip_operator(N))
     matrix = Mat(N + 1, N * N)
     for u in range(N):
         for v in range(N):

@@ -63,20 +63,6 @@ class PoissonStructure:
             return self.table.get((i, j), Poly.zero(self.generators))
         return -self.table.get((j, i), Poly.zero(self.generators))
 
-    @property
-    def kind(self) -> str:
-        degs = {p.total_degree() for p in self.table.values()}
-        degs.discard(-1)
-        if not degs:
-            return "constant"
-        if degs == {0}:
-            return "constant"
-        if degs == {1}:
-            return "linear"
-        if degs == {2}:
-            return "quadratic"
-        return "mixed"
-
     def bracket(self, f: Poly, g: Poly) -> Poly:
         if f.generators != self.generators or g.generators != self.generators:
             raise GeneratorError("polynomials are not over this structure's generators")
@@ -116,7 +102,7 @@ class PoissonStructure:
         return self.generators == other.generators and self.table == other.table
 
     def __repr__(self):
-        return f"PoissonStructure({len(self.generators)} generators, kind={self.kind})"
+        return f"PoissonStructure({len(self.generators)} generators, {len(self.table)} pairs)"
 
     def _check(self, other: "PoissonStructure") -> None:
         if self.generators != other.generators:

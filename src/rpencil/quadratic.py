@@ -16,7 +16,7 @@ from .groebner import NcIdeal, complete, filtration_dims, hilbert, normal_form, 
 from .linalg import Mat, SubspaceBasis, image
 from .poisson import is_diagonal, matrix_generators, matrix_pairs
 from .rmatrix import hecke_s, s_w
-from .scalars import H, LAM, ONE, Q, scalar
+from .scalars import H, LAM, ONE, Q
 
 
 class ConsistencyError(Exception):
@@ -134,8 +134,8 @@ def jhq(n: int) -> QuadraticPresentation:
     return QuadraticPresentation(tuple(gens), tuple(rels), "filtered")
 
 
-def lambda_substitute(p: QuadraticPresentation, lam=LAM) -> QuadraticPresentation:
-    """Shift every diagonal generator by lam and expand the relations.
+def lambda_substitute(p: QuadraticPresentation) -> QuadraticPresentation:
+    """Shift every diagonal generator by LAM and expand the relations.
 
     Constant terms must cancel; a surviving constant means the shift does not
     preserve the relation ideal.
@@ -146,7 +146,6 @@ def lambda_substitute(p: QuadraticPresentation, lam=LAM) -> QuadraticPresentatio
     n = int(len(gens) ** 0.5)
     if n * n != len(gens):
         raise GeneratorError("generators are not matrix coefficients")
-    lam = scalar(lam)
     out = []
     for rel in p.relations:
         terms: dict = {}
@@ -158,11 +157,11 @@ def lambda_substitute(p: QuadraticPresentation, lam=LAM) -> QuadraticPresentatio
         for (u, v), c in rel.terms.items():
             put((u, v), c)
             if is_diagonal(n, v):
-                put((u,), c * lam)
+                put((u,), c * LAM)
             if is_diagonal(n, u):
-                put((v,), c * lam)
+                put((v,), c * LAM)
                 if is_diagonal(n, v):
-                    put((), c * lam * lam)
+                    put((), c * LAM * LAM)
         shifted = FreeElement(gens, terms)
         const = shifted.terms.get((), None)
         if const:

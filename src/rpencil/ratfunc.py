@@ -4,10 +4,11 @@ A polynomial is a dict ``{(i, j, k): c}`` from the exponents of q, h and lam
 to a nonzero int; the zero polynomial is ``{}``.  Comparing exponent tuples
 is lex order with q > h > lam, so the leading term is the largest key.
 
-A RatFunc holds a pair (numer, denom) in canonical form: the two are coprime
-in Z[q, h, lam] (so their integer contents are cancelled too) and denom's
-leading coefficient is positive.  The form is unique, so any correct gcd
-gives the same pair, the same string and the same hash.
+A field element is a ``fractions.Fraction`` if it is constant, else a RatFunc:
+a pair (numer, denom), which no other module reads, in canonical form.  The
+two are coprime in Z[q, h, lam] (so their integer contents are cancelled too)
+and denom's leading coefficient is positive.  The form is unique, so any
+correct gcd gives the same pair, the same string and the same hash.
 
 gcd(f, g) takes a shortcut when either is a single term.  Otherwise it is
 the heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC 7, 1989), which
@@ -171,8 +172,16 @@ def primitive(p):
     return quo_ground(p, c)
 
 
-def evaluate(p, point) -> Fraction:
-    """p at a point (q, h, lam) of Fractions, as a Fraction."""
+def evaluate(p, point):
+    """p at a point (q, h, lam) of field elements, as a field element."""
+    if any(isinstance(x, RatFunc) for x in point):
+        out = Fraction(0)
+        for monom, c in p.items():
+            for x, e in zip(point, monom):
+                if e:
+                    c = c * x**e
+            out = out + c
+        return out
     scale = 1
     tables = []
     for i, x in enumerate(point):
@@ -386,6 +395,9 @@ def _prem(a, b, v: int):
 class RatFunc:
     """numer/denom in canonical form; build one with ``new`` unless it is
     already canonical.  Immutable by convention: nothing mutates the dicts.
+
+    ``+ - * /`` take a field element or an int on either side and return a
+    field element; a constant mixed in cancels only integer contents.
     """
 
     __slots__ = ("numer", "denom", "_hash")
@@ -424,20 +436,43 @@ class RatFunc:
         return RatFunc(neg(self.numer), self.denom)
 
     def __add__(self, other):
-        return _add(self.numer, self.denom, other.numer, other.denom)
+        if isinstance(other, RatFunc):
+            return demote(_add(self.numer, self.denom, other.numer, other.denom))
+        if isinstance(other, (int, Fraction)):
+            return _add_ground(self, other) if other else self
+        return NotImplemented
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return _add(self.numer, self.denom, neg(other.numer), other.denom)
+        return self + (-other) if isinstance(other, (RatFunc, int, Fraction)) else NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __mul__(self, other):
-        return _mul(self.numer, self.denom, other.numer, other.denom)
+        if isinstance(other, RatFunc):
+            return demote(_mul(self.numer, self.denom, other.numer, other.denom))
+        if isinstance(other, (int, Fraction)):
+            return _mul_ground(self, other) if other else Fraction(0)
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         """self/other for a nonzero other."""
-        numer, denom = other.numer, other.denom
+        if isinstance(other, (RatFunc, int, Fraction)):
+            return self * (Fraction(1) / other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        """other/self, with the sign of 1/self moved to its numerator."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        numer, denom = self.numer, self.denom
         if lc(numer) < 0:
             numer, denom = neg(numer), neg(denom)
-        return _mul(self.numer, self.denom, denom, numer)
+        return RatFunc(denom, numer) * other
 
     def __pow__(self, n: int):
         """self**n for n >= 1; coprime parts stay coprime."""
@@ -455,6 +490,19 @@ class RatFunc:
                                      and lc(denom) == 1)):
             below = f"({below})"
         return f"{text}/{below}"
+
+
+def demote(f: RatFunc):
+    """The field element equal to a canonical f: a Fraction if f is constant."""
+    numer, denom = f.numer, f.denom
+    if is_ground(numer) and is_ground(denom):
+        return Fraction(numer.get(CONST, 0), denom[CONST])
+    return f
+
+
+def substitute(f: RatFunc, point):
+    """f at a point of field elements; ZeroDivisionError at a pole."""
+    return evaluate(f.numer, point) / evaluate(f.denom, point)
 
 
 def _mul(n1, d1, n2, d2) -> RatFunc:
@@ -485,3 +533,34 @@ def _add(n1, d1, n2, d2) -> RatFunc:
     if g != ONE:
         _, top, g = cofactors(top, g)
     return RatFunc(top, mul(mul(e1, e2), g))
+
+
+def _mul_ground(f: RatFunc, c) -> RatFunc:
+    """c*f for a nonzero rational c.
+
+    f's numerator and denominator are coprime, so the only common factor of
+    c.numerator*numer and c.denominator*denom is an integer.
+    """
+    a, b = c.numerator, c.denominator
+    numer, denom = f.numer, f.denom
+    g = gcd(a, content(denom))
+    h = gcd(b, content(numer))
+    return RatFunc(
+        mul_ground(quo_ground(numer, h), a // g), mul_ground(quo_ground(denom, g), b // h)
+    )
+
+
+def _add_ground(f: RatFunc, c) -> RatFunc:
+    """f + c for a rational c.
+
+    numer*b + denom*a shares no polynomial factor with denom*b, because
+    numer and denom are coprime; only an integer can cancel.
+    """
+    a, b = c.numerator, c.denominator
+    numer, denom = f.numer, f.denom
+    if b == 1:
+        return RatFunc(add(numer, mul_ground(denom, a)), denom)
+    top = add(mul_ground(numer, b), mul_ground(denom, a))
+    bottom = mul_ground(denom, b)
+    g = gcd(content(top), b * content(denom))
+    return RatFunc(quo_ground(top, g), quo_ground(bottom, g))

@@ -1,26 +1,19 @@
-"""Exact coefficient arithmetic: rational functions in q, h, lam over the integers.
+"""Exact coefficients: the Scalar wrapper around the field Z(q, h, lam).
 
 Every quantity in the package is a Scalar, i.e. a quotient of integer
-polynomials in the formal parameters q, h and lam.  Representations are
-canonical, so equality of Scalars is equality of representations:
-
-- a value free of the parameters is always held as a ``fractions.Fraction``
-  (constant <=> Fraction), so it hashes like the equal int or Fraction and
-  its arithmetic never forms a polynomial;
-- any other value is held as a ``ratfunc.RatFunc`` in Z(q,h,lam) with
-  numerator and denominator coprime and the denominator's leading
-  coefficient positive under lex order with q > h > lam.
-
-An operation that mixes a constant with a parametric value cancels only
-integer contents, never a polynomial gcd; a parametric result that cancels
-to a constant (``Q/Q``) is demoted back to a Fraction.
+polynomials in the formal parameters q, h and lam.  A Scalar holds one
+element of the field ``ratfunc`` implements, which does all the
+arithmetic: a ``fractions.Fraction`` when the value is free of the
+parameters, so it hashes like the equal int or Fraction, and otherwise a
+canonical ``ratfunc.RatFunc``.  The form is unique, so equality of Scalars
+is equality of representations.  Scalar coerces operands, checks for
+division by zero and poles, and reads and prints the canonical strings.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
 
 from . import ratfunc
 from .ratfunc import RatFunc
@@ -44,60 +37,12 @@ class PoleError(ScalarError):
 
 
 def _operand(value):
-    """Internal value of an arithmetic operand, or None if it is not one."""
+    """Field element of an arithmetic operand, or None if it is not one."""
     if isinstance(value, Scalar):
         return value._f
     if isinstance(value, (int, Fraction)):
         return value
     return None
-
-
-def _demote(f):
-    """Canonical internal value of a canonical field element."""
-    numer, denom = f.numer, f.denom
-    if ratfunc.is_ground(numer) and ratfunc.is_ground(denom):
-        return Fraction(numer.get(ratfunc.CONST, 0), denom[ratfunc.CONST])
-    return f
-
-
-def _mul_ground(f, c):
-    """c*f for a parametric f and a nonzero rational c.
-
-    f's numerator and denominator are coprime, so the only common factor of
-    c.numerator*numer and c.denominator*denom is an integer.
-    """
-    a, b = c.numerator, c.denominator
-    numer, denom = f.numer, f.denom
-    g = gcd(a, ratfunc.content(denom))
-    h = gcd(b, ratfunc.content(numer))
-    return RatFunc(
-        ratfunc.mul_ground(ratfunc.quo_ground(numer, h), a // g),
-        ratfunc.mul_ground(ratfunc.quo_ground(denom, g), b // h),
-    )
-
-
-def _add_ground(f, c):
-    """f + c for a parametric f and a rational c.
-
-    numer*b + denom*a shares no polynomial factor with denom*b, because
-    numer and denom are coprime; only an integer can cancel.
-    """
-    a, b = c.numerator, c.denominator
-    numer, denom = f.numer, f.denom
-    if b == 1:
-        return RatFunc(ratfunc.add(numer, ratfunc.mul_ground(denom, a)), denom)
-    top = ratfunc.add(ratfunc.mul_ground(numer, b), ratfunc.mul_ground(denom, a))
-    bottom = ratfunc.mul_ground(denom, b)
-    g = gcd(ratfunc.content(top), b * ratfunc.content(denom))
-    return RatFunc(ratfunc.quo_ground(top, g), ratfunc.quo_ground(bottom, g))
-
-
-def _inverse(f):
-    """1/f for a parametric f, with the sign moved to the numerator."""
-    numer, denom = f.numer, f.denom
-    if ratfunc.lc(numer) < 0:
-        return RatFunc(ratfunc.neg(denom), ratfunc.neg(numer))
-    return RatFunc(denom, numer)
 
 
 def _new(f) -> "Scalar":
@@ -119,7 +64,7 @@ class Scalar:
         elif isinstance(value, int):
             f = Fraction(value)
         elif isinstance(value, RatFunc):
-            f = _demote(value)
+            f = ratfunc.demote(value)
         else:
             raise TypeError(f"cannot build a Scalar from {type(value).__name__}")
         _SET_F(self, f)
@@ -164,14 +109,7 @@ class Scalar:
         g = _operand(other)
         if g is None:
             return NotImplemented
-        f = self._f
-        if isinstance(f, RatFunc):
-            if isinstance(g, RatFunc):
-                return _new(_demote(f + g))
-            return _new(_add_ground(f, g)) if g else self
-        if isinstance(g, RatFunc):
-            return _new(_add_ground(g, f)) if f else other
-        return _new(f + g)
+        return _new(self._f + g)
 
     __radd__ = __add__
 
@@ -179,33 +117,19 @@ class Scalar:
         g = _operand(other)
         if g is None:
             return NotImplemented
-        f = self._f
-        if isinstance(f, RatFunc):
-            if isinstance(g, RatFunc):
-                return _new(_demote(f - g))
-            return _new(_add_ground(f, -g)) if g else self
-        if isinstance(g, RatFunc):
-            return _new(_add_ground(-g, f))
-        return _new(f - g)
+        return _new(self._f - g)
 
     def __rsub__(self, other):
         g = _operand(other)
         if g is None:
             return NotImplemented
-        return Scalar(g) - self
+        return _new(g - self._f)
 
     def __mul__(self, other):
         g = _operand(other)
         if g is None:
             return NotImplemented
-        f = self._f
-        if isinstance(f, RatFunc):
-            if isinstance(g, RatFunc):
-                return _new(_demote(f * g))
-            return _new(_mul_ground(f, g)) if g else ZERO
-        if isinstance(g, RatFunc):
-            return _new(_mul_ground(g, f)) if f else ZERO
-        return _new(f * g)
+        return _new(self._f * g)
 
     __rmul__ = __mul__
 
@@ -215,20 +139,15 @@ class Scalar:
             return NotImplemented
         if not g:
             raise DivisionByZero("division by zero Scalar")
-        f = self._f
-        if isinstance(g, RatFunc):
-            if isinstance(f, RatFunc):
-                return _new(_demote(f / g))
-            return _new(_mul_ground(_inverse(g), f)) if f else ZERO
-        if isinstance(f, RatFunc):
-            return _new(_mul_ground(f, 1 / Fraction(g)))
-        return _new(f / g)
+        return _new(self._f / g)
 
     def __rtruediv__(self, other):
         g = _operand(other)
         if g is None:
             return NotImplemented
-        return Scalar(g) / self
+        if not self._f:
+            raise DivisionByZero("division by zero Scalar")
+        return _new(g / self._f)
 
     def __neg__(self):
         return _new(-self._f)
@@ -240,7 +159,7 @@ class Scalar:
         if n < 0:
             if not f:
                 raise DivisionByZero("negative power of zero Scalar")
-            f, n = (_inverse(f) if isinstance(f, RatFunc) else 1 / f), -n
+            f, n = 1 / f, -n
         if n == 0:
             return ONE
         return _new(f**n)
@@ -254,14 +173,11 @@ class Scalar:
         return bool(self._f)
 
     def __eq__(self, other):
-        if isinstance(other, Scalar):
-            other = other._f
-        elif not isinstance(other, (int, Fraction)):
+        g = _operand(other)
+        if g is None:
             return NotImplemented
-        f = self._f
-        if isinstance(f, RatFunc):
-            return isinstance(other, RatFunc) and f == other
-        return not isinstance(other, RatFunc) and f == other
+        # a Fraction never equals a RatFunc: no RatFunc here is constant
+        return self._f == g
 
     def __hash__(self):
         # a RatFunc hashes as (frozenset(numer.items()), frozenset(denom.items()))
@@ -278,19 +194,12 @@ class Scalar:
         f = self._f
         if not isinstance(f, RatFunc):
             return self
-        images = [
-            _as_scalar(assignment[name]) if name in assignment else Scalar.parameter(name)
-            for name in PARAMETERS
-        ]
-        point = [x._f for x in images]
-        if any(isinstance(x, RatFunc) for x in point):
-            num, den = _eval_poly(f.numer, images), _eval_poly(f.denom, images)
-        else:
-            num, den = ratfunc.evaluate(f.numer, point), ratfunc.evaluate(f.denom, point)
-        if not den:
+        point = [scalar(assignment.get(name, x))._f for name, x in zip(PARAMETERS, (Q, H, LAM))]
+        try:
+            return _new(ratfunc.substitute(f, point))
+        except ZeroDivisionError:
             named = ", ".join(f"{k}={assignment[k]}" for k in PARAMETERS if k in assignment)
-            raise PoleError(f"denominator of {self} vanishes at {named}")
-        return num / den if isinstance(num, Scalar) else _new(num / den)
+            raise PoleError(f"denominator of {self} vanishes at {named}") from None
 
     def __str__(self):
         return str(self._f)
@@ -300,21 +209,6 @@ class Scalar:
 
 
 _SET_F = Scalar._f.__set__
-
-
-def _as_scalar(value) -> Scalar:
-    return value if isinstance(value, Scalar) else Scalar(value)
-
-
-def _eval_poly(poly, images):
-    out = ZERO
-    for monom, coeff in poly.items():
-        term = _new(Fraction(coeff))
-        for img, exp in zip(images, monom):
-            if exp:
-                term *= img**exp
-        out += term
-    return out
 
 
 # -- reader ---------------------------------------------------------------
@@ -389,7 +283,7 @@ def _read(text: str):
         _fail(text, "division by zero")
     if len(num) * len(den) > _MAX_WORK or max(_size(num), _size(den)) > _MAX_WORK:
         _fail(text, "value too large")
-    return _demote(RatFunc.new(num, den))
+    return ratfunc.demote(RatFunc.new(num, den))
 
 
 ZERO = Scalar(0)
@@ -401,4 +295,4 @@ LAM = Scalar.parameter("lam")
 
 def scalar(value) -> Scalar:
     """Coerce ints, Fractions and Scalars into Scalar."""
-    return _as_scalar(value)
+    return value if isinstance(value, Scalar) else Scalar(value)

@@ -15,8 +15,8 @@ def g(name):
 
 def test_zero_and_constant():
     assert Poly.zero(GENS).is_zero()
-    assert Poly.constant(GENS, 3).total_degree() == 0
-    assert Poly.zero(GENS).total_degree() == -1
+    assert Poly.constant(GENS, 3).terms == {(0, 0, 0): 3}
+    assert Poly.zero(GENS).terms == {}
 
 
 def test_unknown_generator():

@@ -3,6 +3,8 @@
 A name that starts with an underscore is private to its module: it may
 change without notice, so no other module may import it, either by
 ``from .module import _name`` or as ``module._name`` on a module it imported.
+Likewise only ``ratfunc`` knows how a field element is stored: no other
+module reads a RatFunc's ``numer`` or ``denom``.
 """
 
 import ast
@@ -44,3 +46,15 @@ def _private_imports(path):
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
 def test_module_imports_no_private_name(module):
     assert _private_imports(SRC / f"{module}.py") == []
+
+
+def _pair_reads(path):
+    """The lines of the module at path that read an attribute numer or denom."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("numer", "denom"))
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "ratfunc"))
+def test_module_reads_no_numer_or_denom(module):
+    assert _pair_reads(SRC / f"{module}.py") == []

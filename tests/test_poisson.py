@@ -68,11 +68,17 @@ def test_linear_table_n2():
     assert lin.bracket(c, d) == c
 
 
+def _degrees(p):
+    """The total degrees of the monomials in p's table."""
+    return {sum(m) for poly in p.table.values() for m in poly.terms}
+
+
 def test_kind():
-    assert sd_quadratic(2).kind == "quadratic"
-    assert linearized(2).kind == "linear"
-    assert gl_bracket(2).kind == "linear"
-    assert constant_symplectic(2).kind == "constant"
+    assert _degrees(sd_quadratic(2)) == {2}
+    assert _degrees(linearized(2)) == {1}
+    assert _degrees(gl_bracket(2)) == {1}
+    assert _degrees(constant_symplectic(2)) == {0}
+    assert repr(sd_quadratic(2)) == "PoissonStructure(4 generators, 5 pairs)"
 
 
 def test_jacobi():

@@ -324,9 +324,51 @@ def test_fast_path_agrees_with_field(x, y, n):
     if x or n > 0:
         _same(x**n, fx**n if n >= 0 else _FIELD.one / fx ** (-n))
     for k in (0, 3, Fraction(-2, 5)):
-        _same(x + k, fx + _field(scalar(k)))
-        _same(k - x, _field(scalar(k)) - fx)
-        _same(x * k, fx * _field(scalar(k)))
+        fk = _field(scalar(k))
+        _same(x + k, fx + fk)
+        _same(k - x, fk - fx)
+        _same(x * k, fx * fk)
+        if x:
+            _same(k / x, fk / fx)
+        if k:
+            _same(x / k, fx / fk)
+
+
+def _eval_poly(poly, images, zero=ZERO):
+    """poly at a point, term by term: the reference for specialize.  The
+    images are Scalars, or sympy field elements with zero=_FIELD.zero.
+    """
+    out = zero
+    for monom, coeff in poly.items():
+        term = coeff
+        for img, exp in zip(images, monom):
+            if exp:
+                term = term * img**exp
+        out = out + term
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_scalars(), st.integers(min_value=1, max_value=3),
+       st.sampled_from(("q", "h", "lam")), mixed_scalars())
+@example(Q * H / (LAM + 1), 2, "h", LAM * (Q - 1))
+def test_specialize_at_a_parametric_point(x, n, name, image):
+    x = x**n
+    f = x._f
+    if isinstance(f, Fraction):
+        assert x.specialize({name: image}) == x
+        return
+    images = [image if p == name else s for p, s in zip(("q", "h", "lam"), (Q, H, LAM))]
+    den = _eval_poly(f.denom, images)
+    if not den:
+        with pytest.raises(PoleError):
+            x.specialize({name: image})
+        return
+    value = x.specialize({name: image})
+    assert value == _eval_poly(f.numer, images) / den
+    fimages = [_field(s) for s in images]
+    fnum, fden = (_eval_poly(p, fimages, _FIELD.zero) for p in (f.numer, f.denom))
+    _same(value, fnum / fden)
 
 
 @settings(max_examples=100, deadline=None)
