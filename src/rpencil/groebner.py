@@ -43,15 +43,20 @@ class DegreeBoundExceeded(Exception):
 
 
 class NcIdeal:
-    """A two-sided ideal with a rewriting system confluent up to a degree bound."""
+    """A two-sided ideal with a rewriting system confluent up to a degree bound.
 
-    __slots__ = ("generators", "degree_bound", "flag", "rules")
+    The rules are fixed once the ideal is built, so the number of irreducible
+    words of each length is counted once and kept.
+    """
+
+    __slots__ = ("generators", "degree_bound", "flag", "rules", "_counts")
 
     def __init__(self, generators, degree_bound, flag, rules):
         self.generators = tuple(generators)
         self.degree_bound = degree_bound
         self.flag = flag
         self.rules = rules  # leading word -> monic FreeElement
+        self._counts = {}  # word length -> number of irreducible words
 
 
 def _lengths(rules) -> list:
@@ -242,13 +247,16 @@ def normal_form(ideal: NcIdeal, f: FreeElement) -> FreeElement:
     return _reduce(f, ideal.rules, _lengths(ideal.rules))
 
 
-def _irreducible_words(ideal: NcIdeal, length: int):
-    n = len(ideal.generators)
-    rules = ideal.rules
-    lengths = _lengths(rules)
-    for word in itertools.product(range(n), repeat=length):
-        if _find_redex(word, rules, lengths) is None:
-            yield word
+def _word_count(ideal: NcIdeal, length: int) -> int:
+    """Number of irreducible words of the given length, counted once per ideal."""
+    count = ideal._counts.get(length)
+    if count is None:
+        rules = ideal.rules
+        lengths = _lengths(rules)
+        words = itertools.product(range(len(ideal.generators)), repeat=length)
+        count = sum(_find_redex(w, rules, lengths) is None for w in words)
+        ideal._counts[length] = count
+    return count
 
 
 def hilbert(ideal: NcIdeal, p: int) -> int:
@@ -257,16 +265,11 @@ def hilbert(ideal: NcIdeal, p: int) -> int:
         raise ValueError("hilbert applies to graded ideals")
     if p > ideal.degree_bound:
         raise DegreeBoundExceeded(f"degree {p} exceeds bound {ideal.degree_bound}")
-    return sum(1 for _ in _irreducible_words(ideal, p))
+    return _word_count(ideal, p)
 
 
 def filtration_dims(ideal: NcIdeal, p: int):
     """Dimensions of the filtration levels 0..p (irreducible words, cumulative)."""
     if p > ideal.degree_bound:
         raise DegreeBoundExceeded(f"degree {p} exceeds bound {ideal.degree_bound}")
-    dims = []
-    total = 0
-    for k in range(p + 1):
-        total += sum(1 for _ in _irreducible_words(ideal, k))
-        dims.append(total)
-    return dims
+    return list(itertools.accumulate(_word_count(ideal, k) for k in range(p + 1)))

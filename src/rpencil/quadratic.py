@@ -6,7 +6,7 @@ links them, and flatness certification for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from math import comb
 
@@ -51,9 +51,11 @@ class QuadraticPresentation:
         return complete(list(self.relations), degree_bound)
 
     def specialize(self, assignment: dict) -> "QuadraticPresentation":
+        """Specialize every relation; each distinct coefficient is specialized once."""
+        value = cache(lambda c: c.specialize(assignment))
         return QuadraticPresentation(
             self.generators,
-            tuple(r.specialize(assignment) for r in self.relations),
+            tuple(r.scalar_map(value) for r in self.relations),
             self.flag,
         )
 

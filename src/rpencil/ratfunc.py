@@ -10,6 +10,12 @@ two are coprime in Z[q, h, lam] (so their integer contents are cancelled too)
 and denom's leading coefficient is positive.  The form is unique, so any
 correct gcd gives the same pair, the same string and the same hash.
 
+``plus``, ``minus``, ``times``, ``divide`` and ``negate`` are the field's
+operations.  When every operand is exactly an int or a Fraction they work on
+the integer pairs, with the gcd cancellations of Henrici's method (Knuth,
+TAOCP vol. 2, 4.5.1) that Fraction's own operators use, and ``_fraction``
+builds the coprime result directly; any other mix goes to the operators.
+
 gcd(f, g) takes a shortcut when either is a single term.  Otherwise it is
 the heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC 7, 1989), which
 evaluates the variables one by one at a large integer, takes an integer gcd
@@ -445,7 +451,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other) if isinstance(other, (RatFunc, int, Fraction)) else NotImplemented
+        return self + negate(other) if isinstance(other, (RatFunc, int, Fraction)) else NotImplemented
 
     def __rsub__(self, other):
         return -self + other if isinstance(other, (int, Fraction)) else NotImplemented
@@ -462,7 +468,7 @@ class RatFunc:
     def __truediv__(self, other):
         """self/other for a nonzero other."""
         if isinstance(other, (RatFunc, int, Fraction)):
-            return self * (Fraction(1) / other)
+            return self * divide(1, other)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -492,6 +498,108 @@ class RatFunc:
         return f"{text}/{below}"
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime n and d > 0, without re-normalizing it.
+
+    The only code that writes Fraction's slots (CPython 3.10 to 3.13 name
+    them ``_numerator`` and ``_denominator``).
+    """
+    x = object.__new__(Fraction)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _pairs(f, g):
+    """(numerator, denominator) of f, then of g, if both are exactly an int
+    or a Fraction (not a bool or a subclass), else None.
+    """
+    t = type(f)
+    if t is Fraction:
+        na, da = f._numerator, f._denominator
+    elif t is int:
+        na, da = f, 1
+    else:
+        return None
+    t = type(g)
+    if t is Fraction:
+        return na, da, g._numerator, g._denominator
+    if t is int:
+        return na, da, g, 1
+    return None
+
+
+def _sum(na, da, nb, db) -> Fraction:
+    """na/da + nb/db for coprime pairs with positive denominators: only a
+    factor of gcd(da, db) can cancel (Fraction._add's steps).
+    """
+    c = gcd(da, db)
+    if c == 1:
+        return _fraction(na * db + da * nb, da * db)
+    s = da // c
+    t = na * (db // c) + nb * s
+    c2 = gcd(t, c)
+    return _fraction(t // c2, s * (db // c2))
+
+
+def _product(na, da, nb, db) -> Fraction:
+    """(na/da) * (nb/db) for coprime pairs with positive denominators: each
+    numerator cancels only against the other denominator (Fraction._mul's steps).
+    """
+    c = gcd(na, db)
+    if c > 1:
+        na //= c
+        db //= c
+    c = gcd(nb, da)
+    if c > 1:
+        nb //= c
+        da //= c
+    return _fraction(na * nb, da * db)
+
+
+def plus(f, g):
+    """f + g for field elements or ints."""
+    p = _pairs(f, g)
+    return f + g if p is None else _sum(*p)
+
+
+def minus(f, g):
+    """f - g for field elements or ints."""
+    p = _pairs(f, g)
+    if p is None:
+        return f - g
+    na, da, nb, db = p
+    return _sum(na, da, -nb, db)
+
+
+def times(f, g):
+    """f * g for field elements or ints."""
+    p = _pairs(f, g)
+    return f * g if p is None else _product(*p)
+
+
+def divide(f, g):
+    """f / g for field elements or ints; ZeroDivisionError if g is zero."""
+    p = _pairs(f, g)
+    if p is None:
+        return f / g
+    na, da, nb, db = p
+    if not nb:
+        raise ZeroDivisionError("division by zero")
+    # times db/nb, with the sign of nb moved to the numerator
+    return _product(na, da, db, nb) if nb > 0 else _product(na, da, -db, -nb)
+
+
+def negate(f):
+    """-f for a field element or an int."""
+    t = type(f)
+    if t is Fraction:
+        return _fraction(-f._numerator, f._denominator)
+    if t is int:
+        return _fraction(-f, 1)
+    return -f
+
+
 def demote(f: RatFunc):
     """The field element equal to a canonical f: a Fraction if f is constant."""
     numer, denom = f.numer, f.denom
@@ -502,7 +610,7 @@ def demote(f: RatFunc):
 
 def substitute(f: RatFunc, point):
     """f at a point of field elements; ZeroDivisionError at a pole."""
-    return evaluate(f.numer, point) / evaluate(f.denom, point)
+    return divide(evaluate(f.numer, point), evaluate(f.denom, point))
 
 
 def _mul(n1, d1, n2, d2) -> RatFunc:

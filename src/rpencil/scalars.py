@@ -5,9 +5,12 @@ polynomials in the formal parameters q, h and lam.  A Scalar holds one
 element of the field ``ratfunc`` implements, which does all the
 arithmetic: a ``fractions.Fraction`` when the value is free of the
 parameters, so it hashes like the equal int or Fraction, and otherwise a
-canonical ``ratfunc.RatFunc``.  The form is unique, so equality of Scalars
-is equality of representations.  Scalar coerces operands, checks for
-division by zero and poles, and reads and prints the canonical strings.
+canonical ``ratfunc.RatFunc``.  Two constants are combined by ``ratfunc``'s
+operations on their integer pairs, not by Fraction's operators.  The form
+is unique, so equality of Scalars is equality of representations.  Each
+operator coerces its operand, makes one call into ``ratfunc`` and wraps the
+result; Scalar also checks for division by zero and poles, and reads and
+prints the canonical strings.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ class PoleError(ScalarError):
 
 def _operand(value):
     """Field element of an arithmetic operand, or None if it is not one."""
-    if isinstance(value, Scalar):
+    if type(value) is Scalar:
         return value._f
     if isinstance(value, (int, Fraction)):
         return value
-    return None
+    return value._f if isinstance(value, Scalar) else None
 
 
 def _new(f) -> "Scalar":
@@ -109,7 +112,7 @@ class Scalar:
         g = _operand(other)
         if g is None:
             return NotImplemented
-        return _new(self._f + g)
+        return _new(ratfunc.plus(self._f, g))
 
     __radd__ = __add__
 
@@ -117,19 +120,19 @@ class Scalar:
         g = _operand(other)
         if g is None:
             return NotImplemented
-        return _new(self._f - g)
+        return _new(ratfunc.minus(self._f, g))
 
     def __rsub__(self, other):
         g = _operand(other)
         if g is None:
             return NotImplemented
-        return _new(g - self._f)
+        return _new(ratfunc.minus(g, self._f))
 
     def __mul__(self, other):
         g = _operand(other)
         if g is None:
             return NotImplemented
-        return _new(self._f * g)
+        return _new(ratfunc.times(self._f, g))
 
     __rmul__ = __mul__
 
@@ -139,7 +142,7 @@ class Scalar:
             return NotImplemented
         if not g:
             raise DivisionByZero("division by zero Scalar")
-        return _new(self._f / g)
+        return _new(ratfunc.divide(self._f, g))
 
     def __rtruediv__(self, other):
         g = _operand(other)
@@ -147,10 +150,10 @@ class Scalar:
             return NotImplemented
         if not self._f:
             raise DivisionByZero("division by zero Scalar")
-        return _new(g / self._f)
+        return _new(ratfunc.divide(g, self._f))
 
     def __neg__(self):
-        return _new(-self._f)
+        return _new(ratfunc.negate(self._f))
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -159,7 +162,7 @@ class Scalar:
         if n < 0:
             if not f:
                 raise DivisionByZero("negative power of zero Scalar")
-            f, n = 1 / f, -n
+            f, n = ratfunc.divide(1, f), -n
         if n == 0:
             return ONE
         return _new(f**n)

@@ -4,7 +4,9 @@ A name that starts with an underscore is private to its module: it may
 change without notice, so no other module may import it, either by
 ``from .module import _name`` or as ``module._name`` on a module it imported.
 Likewise only ``ratfunc`` knows how a field element is stored: no other
-module reads a RatFunc's ``numer`` or ``denom``.
+module reads a RatFunc's ``numer`` or ``denom``, or reads or writes a
+Fraction's slots ``_numerator`` and ``_denominator``; within ``ratfunc``, only
+``_fraction`` writes them.
 """
 
 import ast
@@ -48,13 +50,42 @@ def test_module_imports_no_private_name(module):
     assert _private_imports(SRC / f"{module}.py") == []
 
 
-def _pair_reads(path):
-    """The lines of the module at path that read an attribute numer or denom."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+_SLOTS = ("_numerator", "_denominator")
+
+
+def _attribute_uses(tree, names):
+    """The lines of tree that read or write an attribute in names."""
     return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr in ("numer", "denom"))
+                  if isinstance(node, ast.Attribute) and node.attr in names)
 
 
-@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "ratfunc"))
+def _tree(module):
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+_NOT_RATFUNC = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "ratfunc")
+
+
+@pytest.mark.parametrize("module", _NOT_RATFUNC)
 def test_module_reads_no_numer_or_denom(module):
-    assert _pair_reads(SRC / f"{module}.py") == []
+    assert _attribute_uses(_tree(module), ("numer", "denom")) == []
+
+
+@pytest.mark.parametrize("module", _NOT_RATFUNC)
+def test_module_touches_no_fraction_slots(module):
+    tree = _tree(module)
+    named = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in _SLOTS]
+    assert _attribute_uses(tree, _SLOTS) + named == []
+
+
+def test_only_the_fraction_helper_writes_fraction_slots():
+    writers = {
+        fn.name
+        for fn in ast.walk(_tree("ratfunc"))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr in _SLOTS
+        and isinstance(node.ctx, ast.Store)
+    }
+    assert writers == {"_fraction"}

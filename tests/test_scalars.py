@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from sympy import ZZ, Rational
 from sympy.polys.fields import field
 
 from rpencil import ratfunc
+from rpencil.groebner import complete
+from rpencil.quadratic import a0q
 from rpencil.ratfunc import RatFunc
 from rpencil.scalars import (
     DEFAULT_ASSIGNMENT,
@@ -334,6 +337,56 @@ def test_fast_path_agrees_with_field(x, y, n):
             _same(x / k, fx / fk)
 
 
+_big = st.integers(min_value=-(2**200), max_value=2**200)
+_exact = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    _big,
+    st.builds(Fraction, _big, _big.filter(bool)),
+    _rationals,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact, _exact)
+@example(Fraction(1, 6), Fraction(-1, 6))
+@example(Fraction(-3, 4), Fraction(-9, 10))
+def test_constant_branch_matches_fraction(x, y):
+    fx, fy = Fraction(x), Fraction(y)
+    cases = [
+        (ratfunc.plus(x, y), fx + fy),
+        (ratfunc.minus(x, y), fx - fy),
+        (ratfunc.times(x, y), fx * fy),
+        (ratfunc.negate(x), -fx),
+    ]
+    if y:
+        cases.append((ratfunc.divide(x, y), fx / fy))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            ratfunc.divide(x, y)
+    for r, expected in cases:
+        assert type(r) is Fraction
+        assert r == expected and hash(r) == hash(expected) and str(r) == str(expected)
+        n, d = r.numerator, r.denominator
+        assert type(n) is int and type(d) is int
+        assert d > 0 and gcd(n, d) == 1
+
+
+def test_constant_arithmetic_skips_fraction_operators(monkeypatch):
+    relations = a0q(2).specialize(DEFAULT_ASSIGNMENT).relations
+    expected = complete(relations, 3).rules
+
+    def refuse(*args):
+        raise AssertionError("a Fraction operator ran")
+
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    a, b = Scalar(7) / 3, Scalar(-2) / 5
+    assert a + b == Fraction(29, 15) and a - b == Fraction(41, 15)
+    assert a * b == Fraction(-14, 15) and a / b == Fraction(-35, 6)
+    assert -a == Fraction(-7, 3) and 3 - a == Fraction(2, 3) and 1 / b == Fraction(-5, 2)
+    assert complete(relations, 3).rules == expected
+
+
 def _eval_poly(poly, images, zero=ZERO):
     """poly at a point, term by term: the reference for specialize.  The
     images are Scalars, or sympy field elements with zero=_FIELD.zero.
@@ -352,6 +405,7 @@ def _eval_poly(poly, images, zero=ZERO):
 @given(mixed_scalars(), st.integers(min_value=1, max_value=3),
        st.sampled_from(("q", "h", "lam")), mixed_scalars())
 @example(Q * H / (LAM + 1), 2, "h", LAM * (Q - 1))
+@example(LAM + 1, 1, "lam", ZERO)
 def test_specialize_at_a_parametric_point(x, n, name, image):
     x = x**n
     f = x._f
@@ -367,7 +421,8 @@ def test_specialize_at_a_parametric_point(x, n, name, image):
     value = x.specialize({name: image})
     assert value == _eval_poly(f.numer, images) / den
     fimages = [_field(s) for s in images]
-    fnum, fden = (_eval_poly(p, fimages, _FIELD.zero) for p in (f.numer, f.denom))
+    # sympy's zero + 1 is the int 1, so each sum is put back into the field
+    fnum, fden = (_FIELD(_eval_poly(p, fimages, _FIELD.zero)) for p in (f.numer, f.denom))
     _same(value, fnum / fden)
 
 
