@@ -11,10 +11,11 @@ and denom's leading coefficient is positive.  The form is unique, so any
 correct gcd gives the same pair, the same string and the same hash.
 
 ``plus``, ``minus``, ``times``, ``divide`` and ``negate`` are the field's
-operations.  When every operand is exactly an int or a Fraction they work on
-the integer pairs, with the gcd cancellations of Henrici's method (Knuth,
-TAOCP vol. 2, 4.5.1) that Fraction's own operators use, and ``_fraction``
-builds the coprime result directly; any other mix goes to the operators.
+arithmetic, and the only code that looks at an operand's kind (exactly an
+int, a Fraction or a RatFunc).  Two constants are combined on the integer
+pairs by Henrici's method (Knuth, TAOCP vol. 2, 4.5.1), as Fraction's own
+operators are, and ``_fraction`` builds the coprime result directly; every
+other mix goes to ``_add``, ``_mul``, ``_add_ground`` or ``_mul_ground``.
 
 gcd(f, g) takes a shortcut when either is a single term.  Otherwise it is
 the heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC 7, 1989), which
@@ -185,8 +186,8 @@ def evaluate(p, point):
         for monom, c in p.items():
             for x, e in zip(point, monom):
                 if e:
-                    c = c * x**e
-            out = out + c
+                    c = times(c, x**e)
+            out = plus(out, c)
         return out
     scale = 1
     tables = []
@@ -402,8 +403,8 @@ class RatFunc:
     """numer/denom in canonical form; build one with ``new`` unless it is
     already canonical.  Immutable by convention: nothing mutates the dicts.
 
-    ``+ - * /`` take a field element or an int on either side and return a
-    field element; a constant mixed in cancels only integer contents.
+    Its only arithmetic is ``**``; add, subtract, multiply, divide and
+    negate it with the module's five operations.
     """
 
     __slots__ = ("numer", "denom", "_hash")
@@ -438,48 +439,6 @@ class RatFunc:
             )
         return self._hash
 
-    def __neg__(self):
-        return RatFunc(neg(self.numer), self.denom)
-
-    def __add__(self, other):
-        if isinstance(other, RatFunc):
-            return demote(_add(self.numer, self.denom, other.numer, other.denom))
-        if isinstance(other, (int, Fraction)):
-            return _add_ground(self, other) if other else self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + negate(other) if isinstance(other, (RatFunc, int, Fraction)) else NotImplemented
-
-    def __rsub__(self, other):
-        return -self + other if isinstance(other, (int, Fraction)) else NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, RatFunc):
-            return demote(_mul(self.numer, self.denom, other.numer, other.denom))
-        if isinstance(other, (int, Fraction)):
-            return _mul_ground(self, other) if other else Fraction(0)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        """self/other for a nonzero other."""
-        if isinstance(other, (RatFunc, int, Fraction)):
-            return self * divide(1, other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        """other/self, with the sign of 1/self moved to its numerator."""
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        numer, denom = self.numer, self.denom
-        if lc(numer) < 0:
-            numer, denom = neg(numer), neg(denom)
-        return RatFunc(denom, numer) * other
-
     def __pow__(self, n: int):
         """self**n for n >= 1; coprime parts stay coprime."""
         return RatFunc(power(self.numer, n), power(self.denom, n))
@@ -511,8 +470,8 @@ def _fraction(n: int, d: int) -> Fraction:
 
 
 def _pairs(f, g):
-    """(numerator, denominator) of f, then of g, if both are exactly an int
-    or a Fraction (not a bool or a subclass), else None.
+    """(numerator, denominator) of f, then of g, if both are constants (each
+    operand is exactly an int, a Fraction or a RatFunc), else None.
     """
     t = type(f)
     if t is Fraction:
@@ -560,14 +519,20 @@ def _product(na, da, nb, db) -> Fraction:
 def plus(f, g):
     """f + g for field elements or ints."""
     p = _pairs(f, g)
-    return f + g if p is None else _sum(*p)
+    if p is not None:
+        return _sum(*p)
+    if type(f) is not RatFunc:
+        f, g = g, f
+    if type(g) is RatFunc:
+        return demote(_add(f.numer, f.denom, g.numer, g.denom))
+    return _add_ground(f, g) if g else f
 
 
 def minus(f, g):
     """f - g for field elements or ints."""
     p = _pairs(f, g)
     if p is None:
-        return f - g
+        return plus(f, negate(g))
     na, da, nb, db = p
     return _sum(na, da, -nb, db)
 
@@ -575,14 +540,26 @@ def minus(f, g):
 def times(f, g):
     """f * g for field elements or ints."""
     p = _pairs(f, g)
-    return f * g if p is None else _product(*p)
+    if p is not None:
+        return _product(*p)
+    if type(f) is not RatFunc:
+        f, g = g, f
+    if type(g) is RatFunc:
+        return demote(_mul(f.numer, f.denom, g.numer, g.denom))
+    return _mul_ground(f, g) if g else Fraction(0)
 
 
 def divide(f, g):
     """f / g for field elements or ints; ZeroDivisionError if g is zero."""
     p = _pairs(f, g)
     if p is None:
-        return f / g
+        if type(g) is not RatFunc:
+            return times(f, divide(1, g))
+        # times 1/g, with the sign of g's numerator moved to the new numerator
+        numer, denom = g.numer, g.denom
+        if lc(numer) < 0:
+            numer, denom = neg(numer), neg(denom)
+        return times(f, RatFunc(denom, numer))
     na, da, nb, db = p
     if not nb:
         raise ZeroDivisionError("division by zero")
@@ -597,7 +574,7 @@ def negate(f):
         return _fraction(-f._numerator, f._denominator)
     if t is int:
         return _fraction(-f, 1)
-    return -f
+    return RatFunc(neg(f.numer), f.denom)
 
 
 def demote(f: RatFunc):

@@ -8,9 +8,10 @@ parameters, so it hashes like the equal int or Fraction, and otherwise a
 canonical ``ratfunc.RatFunc``.  Two constants are combined by ``ratfunc``'s
 operations on their integer pairs, not by Fraction's operators.  The form
 is unique, so equality of Scalars is equality of representations.  Each
-operator coerces its operand, makes one call into ``ratfunc`` and wraps the
-result; Scalar also checks for division by zero and poles, and reads and
-prints the canonical strings.
+operator coerces its operand (a bool or a subclass of int or Fraction to the
+equal exact value), makes one call into ``ratfunc`` and wraps the result;
+Scalar also checks for division by zero and poles, and reads and prints the
+canonical strings.
 """
 
 from __future__ import annotations
@@ -40,11 +41,14 @@ class PoleError(ScalarError):
 
 
 def _operand(value):
-    """Field element of an arithmetic operand, or None if it is not one."""
+    """Field element of an arithmetic operand, or None if it is not one; a
+    bool or a subclass of int or Fraction becomes the equal exact value."""
     if type(value) is Scalar:
         return value._f
-    if isinstance(value, (int, Fraction)):
+    if type(value) in (int, Fraction):
         return value
+    if isinstance(value, (int, Fraction)):
+        return int(value) if isinstance(value, int) else Fraction(value)
     return value._f if isinstance(value, Scalar) else None
 
 
@@ -60,16 +64,13 @@ class Scalar:
     __slots__ = ("_f",)
 
     def __init__(self, value=0):
-        if isinstance(value, Scalar):
-            f = value._f
-        elif isinstance(value, Fraction):
-            f = value
-        elif isinstance(value, int):
-            f = Fraction(value)
-        elif isinstance(value, RatFunc):
+        f = _operand(value)
+        if isinstance(value, RatFunc):
             f = ratfunc.demote(value)
-        else:
+        elif f is None:
             raise TypeError(f"cannot build a Scalar from {type(value).__name__}")
+        elif type(f) is int:
+            f = Fraction(f)
         _SET_F(self, f)
 
     def __setattr__(self, name, value):
@@ -168,9 +169,6 @@ class Scalar:
         return _new(f**n)
 
     # -- predicates --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._f
 
     def __bool__(self) -> bool:
         return bool(self._f)

@@ -6,7 +6,9 @@ change without notice, so no other module may import it, either by
 Likewise only ``ratfunc`` knows how a field element is stored: no other
 module reads a RatFunc's ``numer`` or ``denom``, or reads or writes a
 Fraction's slots ``_numerator`` and ``_denominator``; within ``ratfunc``, only
-``_fraction`` writes them.
+``_fraction`` writes them.  A RatFunc has no ``+ - * /`` or unary ``-``: the
+field's arithmetic is ``ratfunc``'s five operations, one dispatch on the kind
+of operand.
 """
 
 import ast
@@ -89,3 +91,18 @@ def test_only_the_fraction_helper_writes_fraction_slots():
         and isinstance(node.ctx, ast.Store)
     }
     assert writers == {"_fraction"}
+
+
+_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__neg__")
+
+
+def test_ratfunc_defines_no_arithmetic_operator():
+    (cls,) = [node for node in _tree("ratfunc").body
+              if isinstance(node, ast.ClassDef) and node.name == "RatFunc"]
+    # methods, and names bound in the class body such as ``__radd__ = __add__``
+    defined = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    defined |= {node.id for node in ast.walk(cls)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert sorted(defined.intersection(_OPERATORS)) == []
+    assert "__pow__" in defined

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import time
+from enum import IntEnum
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -46,8 +47,8 @@ def _names(s):
 
 
 def test_constants():
-    assert ZERO.is_zero()
-    assert not ONE.is_zero()
+    assert not ZERO
+    assert bool(ONE)
     assert ONE + ONE == 2
     assert _names(Q) == {"q"}
 
@@ -304,7 +305,7 @@ def _same(fast, reference):
     numer, denom = reference.numer, reference.denom
     if numer.is_ground and denom.is_ground:
         expected = Fraction(int(numer.LC), int(denom.LC))
-        assert fast._f == expected and isinstance(fast._f, Fraction)
+        assert fast._f == expected and type(fast._f) is Fraction
         assert hash(fast) == hash(expected)
     else:
         f = fast._f
@@ -314,8 +315,22 @@ def _same(fast, reference):
     assert str(fast) == str(reference)
 
 
+class _Int(int):
+    pass
+
+
+class _Enum(IntEnum):
+    THREE = 3
+
+
+class _Fraction(Fraction):
+    pass
+
+
 @settings(max_examples=150, deadline=None)
 @given(mixed_scalars(), mixed_scalars(), st.integers(min_value=-3, max_value=3))
+@example(Q, ONE, 1)
+@example(ONE / 3, Q, 1)
 def test_fast_path_agrees_with_field(x, y, n):
     fx, fy = _field(x), _field(y)
     _same(x + y, fx + fy)
@@ -326,11 +341,15 @@ def test_fast_path_agrees_with_field(x, y, n):
         _same(x / y, fx / fy)
     if x or n > 0:
         _same(x**n, fx**n if n >= 0 else _FIELD.one / fx ** (-n))
-    for k in (0, 3, Fraction(-2, 5)):
+    # a bool or a subclass of int or Fraction computes as the equal exact value
+    for k in (0, 3, Fraction(-2, 5), True, _Int(3), _Enum.THREE, _Fraction(-2, 5)):
         fk = _field(scalar(k))
         _same(x + k, fx + fk)
+        _same(k + x, fk + fx)
+        _same(x - k, fx - fk)
         _same(k - x, fk - fx)
         _same(x * k, fx * fk)
+        _same(k * x, fk * fx)
         if x:
             _same(k / x, fk / fx)
         if k:
@@ -384,6 +403,10 @@ def test_constant_arithmetic_skips_fraction_operators(monkeypatch):
     assert a + b == Fraction(29, 15) and a - b == Fraction(41, 15)
     assert a * b == Fraction(-14, 15) and a / b == Fraction(-35, 6)
     assert -a == Fraction(-7, 3) and 3 - a == Fraction(2, 3) and 1 / b == Fraction(-5, 2)
+    # nor when a constant meets a rational function
+    x = (Q + 1) / H
+    assert (a + x) - x == a and (a - x) + x == a and (x - a) + a == x
+    assert (a * x) / x == a and (x / a) * a == x and (a / x) * x == a
     assert complete(relations, 3).rules == expected
 
 
