@@ -5,11 +5,18 @@ deglex maps to smaller terms); overlaps between leading words are resolved
 by increasing degree until every word of length <= D reduces uniquely.
 This is the engine behind all flatness and PBW dimension counts.
 
+Tails: beside each rule, ``complete`` keeps its tail, the pairs
+``(word, -coeff)`` of the rule's other words in the rule's term order.  A
+rule ``lw -> g`` rewrites ``c * prefix + lw + suffix`` into
+``c * tc * (prefix + tw + suffix)`` for every ``(tw, tc)`` of the tail, so
+rewriting and S-elements only multiply and add, and never negate.
+
 Reduction strategy (``_reduce``): rewrite the largest reducible word first;
 within it, the leftmost occurrence of a leading word, and among leading
 words starting there the longest.  Each rewrite replaces a word by strictly
-smaller ones, so the words are swept once in descending deglex order and a
-word found irreducible is final.
+smaller ones, so the words of a dict keyed by ``(len(w), w)`` are taken
+once each, by ``max``, in descending deglex order, and a word found
+irreducible is final.
 
 Invariant of ``complete``: every rule tail is irreducible with respect to
 the current leading words.  Adding a rule with leading word ``lw`` can only
@@ -23,6 +30,12 @@ to a prefix of ``w2``) needs ``w2[0]`` in ``w1[1:]`` and ``w1[-1]`` in
 against each rule, ``other[0] in lw[1:]`` with ``lw`` first and
 ``other[-1] in lw[:-1]`` with ``lw`` second, and hands only the pairs that
 pass to ``_overlap_elements``, in the order of the rules.
+
+Word counts: a word is irreducible when no leading word is a subword of it,
+that is, when it never enters a dead state of the Aho-Corasick automaton
+over the leading words (a state on whose failure chain a leading word
+ends).  ``_word_count`` counts the paths among the live states, one length
+after the other, and keeps every count on the ``NcIdeal``.
 """
 
 from __future__ import annotations
@@ -49,14 +62,15 @@ class NcIdeal:
     words of each length is counted once and kept.
     """
 
-    __slots__ = ("generators", "degree_bound", "flag", "rules", "_counts")
+    __slots__ = ("generators", "degree_bound", "flag", "rules", "tails", "_counts")
 
-    def __init__(self, generators, degree_bound, flag, rules):
+    def __init__(self, generators, degree_bound, flag, rules, tails):
         self.generators = tuple(generators)
         self.degree_bound = degree_bound
         self.flag = flag
         self.rules = rules  # leading word -> monic FreeElement
-        self._counts = {}  # word length -> number of irreducible words
+        self.tails = tails  # leading word -> ((word, -coeff), ...) of the rule
+        self._counts = []  # word length -> number of irreducible words
 
 
 def _lengths(rules) -> list:
@@ -64,44 +78,44 @@ def _lengths(rules) -> list:
     return sorted({len(w) for w in rules}, reverse=True)
 
 
-def _reduce(f: FreeElement, rules: dict, lengths: list) -> FreeElement:
+def _tail(g: FreeElement, lw) -> tuple:
+    """The pairs ``(word, -coeff)`` of the monic rule g's words other than lw."""
+    return tuple((w, -c) for w, c in g.terms.items() if w != lw)
+
+
+def _reduce(f: FreeElement, tails: dict, lengths: list) -> FreeElement:
     """Normal form of f with respect to the rules (deterministic strategy).
 
-    ``lengths`` is ``_lengths(rules)``.  Returns f itself when no word of f
-    is reducible.
+    ``tails`` maps each leading word to its rule's tail and ``lengths`` is
+    ``_lengths(tails)``.  Returns f itself when no word of f is reducible.
     """
     terms = f.terms
-    if not any(_find_redex(w, rules, lengths) for w in terms):
+    if not any(_find_redex(w, tails, lengths) for w in terms):
         return f
-    work = dict(terms)
-    heap = [(-len(w), tuple(-i for i in w), w) for w in work]
-    heapq.heapify(heap)
+    work = {(len(w), w): c for w, c in terms.items()}
     out = {}
-    while heap:
-        w = heapq.heappop(heap)[2]
-        c = work.pop(w, None)
-        if c is None:  # cancelled, or a stale duplicate entry
-            continue
-        hit = _find_redex(w, rules, lengths)
+    while work:
+        key = max(work)
+        c = work.pop(key)
+        w = key[1]
+        hit = _find_redex(w, tails, lengths)
         if hit is None:
             out[w] = c
             continue
         pos, lw = hit
         prefix, suffix = w[:pos], w[pos + len(lw):]
-        for tw, tc in rules[lw].terms.items():
-            if tw == lw:
-                continue
+        for tw, tc in tails[lw]:
             nw = prefix + tw + suffix
-            prev = work.get(nw)
+            nkey = (len(nw), nw)
+            prev = work.get(nkey)
             if prev is None:
-                work[nw] = -(c * tc)
-                heapq.heappush(heap, (-len(nw), tuple(-i for i in nw), nw))
+                work[nkey] = c * tc
             else:
-                s = prev - c * tc
+                s = prev + c * tc
                 if s:
-                    work[nw] = s
+                    work[nkey] = s
                 else:
-                    del work[nw]
+                    del work[nkey]
     return FreeElement._raw(f.generators, out)
 
 
@@ -150,9 +164,10 @@ def complete(relations, degree_bound: int) -> NcIdeal:
     for r in relations:
         push(r)
     lengths: list = []
+    tails: dict = {}  # leading word -> _tail of its rule
     inner: dict = {}  # leading word -> subwords of the rule's tail words
     while queue:
-        f = _reduce(heapq.heappop(queue)[2], rules, lengths)
+        f = _reduce(heapq.heappop(queue)[2], tails, lengths)
         if not f:
             continue
         f = f.monic()
@@ -163,28 +178,30 @@ def complete(relations, degree_bound: int) -> NcIdeal:
         # lw is irreducible, so no key equals it
         for old in [w for w in rules if len(w) > len(lw) and _contains(w, lw)]:
             push(rules.pop(old))
-            del inner[old]
+            del tails[old], inner[old]
         # lw goes last in the order
         rules[lw] = f
+        tails[lw] = _tail(f, lw)
         inner[lw] = _subwords(f, lw)
         lengths = _lengths(rules)
         # re-reduce the tails that the new leading word makes reducible
         for w, g in list(rules.items()):
             if lw in inner[w]:
                 head = FreeElement.word(generators, w)
-                rules[w] = g = head + _reduce(g - head, rules, lengths)
+                rules[w] = g = head + _reduce(g - head, tails, lengths)
+                tails[w] = _tail(g, w)
                 inner[w] = _subwords(g, w)
         # resolve overlaps involving the new rule, degree-bounded
         lw_later = set(lw[1:])  # letters that can start a word lw overlaps
         lw_earlier = set(lw[:-1])  # letters that can end a word overlapping lw
         for other_lw, other in list(rules.items()):
             if other_lw[0] in lw_later:
-                for s_elem in _overlap_elements(lw, f, other_lw, other, degree_bound):
+                for s_elem in _overlap_elements(lw, f, other_lw, tails[other_lw], degree_bound):
                     push(s_elem)
             if other_lw != lw and other_lw[-1] in lw_earlier:
-                for s_elem in _overlap_elements(other_lw, other, lw, f, degree_bound):
+                for s_elem in _overlap_elements(other_lw, other, lw, tails[lw], degree_bound):
                     push(s_elem)
-    return NcIdeal(generators, degree_bound, quadratic_flag(relations), rules)
+    return NcIdeal(generators, degree_bound, quadratic_flag(relations), rules, tails)
 
 
 def _subwords(g: FreeElement, lw) -> set:
@@ -206,12 +223,14 @@ def _contains(word, sub):
     return False
 
 
-def _overlap_elements(w1, g1: FreeElement, w2, g2: FreeElement, bound: int):
+def _overlap_elements(w1, g1: FreeElement, w2, t2: tuple, bound: int):
     """S-elements ``g1 * w2[k:] - w1[:-k] * g2`` from proper overlaps.
 
-    w1 and w2 are the leading words of g1 and g2; a proper overlap is a
-    suffix of w1 of length k equal to a prefix of w2.  Terms come in the
-    order of g1's terms, then g2's new words, with zeros deleted.
+    w1 is the leading word of the monic rule g1, and t2 is the tail of the
+    monic rule g2 with leading word w2; a proper overlap is a suffix of w1
+    of length k equal to a prefix of w2.  The overlap word cancels, so the
+    terms are g1's other words, then the tail's new words, with zeros
+    deleted, in that order.
     """
     out = []
     n1 = len(w1)
@@ -221,14 +240,14 @@ def _overlap_elements(w1, g1: FreeElement, w2, g2: FreeElement, bound: int):
         if n1 + len(w2) - k > bound:
             continue
         suffix, prefix = w2[k:], w1[:n1 - k]
-        terms = {w + suffix: c for w, c in g1.terms.items()}
-        for w, c in g2.terms.items():
+        terms = {w + suffix: c for w, c in g1.terms.items() if w != w1}
+        for w, c in t2:
             nw = prefix + w
             prev = terms.get(nw)
             if prev is None:
-                terms[nw] = -c
+                terms[nw] = c
             else:
-                s = prev - c
+                s = prev + c
                 if s:
                     terms[nw] = s
                 else:
@@ -239,37 +258,91 @@ def _overlap_elements(w1, g1: FreeElement, w2, g2: FreeElement, bound: int):
 
 
 def normal_form(ideal: NcIdeal, f: FreeElement) -> FreeElement:
+    if f.generators != ideal.generators:
+        raise GeneratorError("element and ideal over different generator sets")
     if f.degree() > ideal.degree_bound:
         raise DegreeBoundExceeded(
             f"degree {f.degree()} exceeds completion bound {ideal.degree_bound}; "
             "recomplete with a larger bound"
         )
-    return _reduce(f, ideal.rules, _lengths(ideal.rules))
+    return _reduce(f, ideal.tails, _lengths(ideal.tails))
+
+
+def _live_successors(words, letters: int) -> list:
+    """The transitions among the live states of the Aho-Corasick automaton
+    over ``words``: for every state, the live states its letters lead to.
+
+    State 0 is the empty word.  A state is dead when a word ends at it or at
+    a state on its failure chain.
+    """
+    goto = [{}]  # trie: state -> {letter: child}
+    dead = [False]
+    for word in words:
+        s = 0
+        for a in word:
+            if a not in goto[s]:
+                goto[s][a] = len(goto)
+                goto.append({})
+                dead.append(False)
+            s = goto[s][a]
+        dead[s] = True
+    # breadth-first, so a state's failure state is complete before it is
+    fail = [0] * len(goto)
+    delta = [None] * len(goto)
+    queue = [0]
+    for s in queue:
+        row = []
+        for a in range(letters):
+            t = goto[s].get(a)
+            back = delta[fail[s]][a] if s else 0
+            if t is None:
+                row.append(back)
+            else:
+                fail[t] = back
+                dead[t] = dead[t] or dead[back]
+                row.append(t)
+                queue.append(t)
+        delta[s] = row
+    return [[t for t in row if not dead[t]] for row in delta]
 
 
 def _word_count(ideal: NcIdeal, length: int) -> int:
-    """Number of irreducible words of the given length, counted once per ideal."""
-    count = ideal._counts.get(length)
-    if count is None:
-        rules = ideal.rules
-        lengths = _lengths(rules)
-        words = itertools.product(range(len(ideal.generators)), repeat=length)
-        count = sum(_find_redex(w, rules, lengths) is None for w in words)
-        ideal._counts[length] = count
-    return count
+    """Number of irreducible words of the given length, counted once per ideal.
+
+    One pass counts every length up to the degree bound, or up to ``length``
+    if that is larger.
+    """
+    counts = ideal._counts
+    if length >= len(counts):
+        successors = _live_successors(ideal.rules, len(ideal.generators))
+        paths = {0: 1}  # live state -> number of words that end there
+        counts[:] = [1]
+        for _ in range(max(length, ideal.degree_bound)):
+            step: dict = {}
+            for s, m in paths.items():
+                for t in successors[s]:
+                    step[t] = step.get(t, 0) + m
+            paths = step
+            counts.append(sum(paths.values()))
+    return counts[length]
+
+
+def _check_degree(ideal: NcIdeal, p: int) -> None:
+    if p < 0:
+        raise ValueError("degree must be non-negative")
+    if p > ideal.degree_bound:
+        raise DegreeBoundExceeded(f"degree {p} exceeds bound {ideal.degree_bound}")
 
 
 def hilbert(ideal: NcIdeal, p: int) -> int:
     """Number of irreducible words of length exactly p (graded dimension)."""
     if ideal.flag != "graded":
         raise ValueError("hilbert applies to graded ideals")
-    if p > ideal.degree_bound:
-        raise DegreeBoundExceeded(f"degree {p} exceeds bound {ideal.degree_bound}")
+    _check_degree(ideal, p)
     return _word_count(ideal, p)
 
 
 def filtration_dims(ideal: NcIdeal, p: int):
     """Dimensions of the filtration levels 0..p (irreducible words, cumulative)."""
-    if p > ideal.degree_bound:
-        raise DegreeBoundExceeded(f"degree {p} exceeds bound {ideal.degree_bound}")
+    _check_degree(ideal, p)
     return list(itertools.accumulate(_word_count(ideal, k) for k in range(p + 1)))

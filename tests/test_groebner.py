@@ -7,21 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpencil.commpoly import GeneratorError
 from rpencil.freealg import FreeElement, deglex_key
 from rpencil.groebner import (
     DegreeBoundExceeded,
     IdealCollapse,
+    NcIdeal,
     _contains,
     _lengths,
     _overlap_elements,
     _reduce,
+    _word_count,
     complete,
     filtration_dims,
     hilbert,
     normal_form,
 )
 from rpencil.quadratic import a0q, jhq
-from rpencil.scalars import H, Q, scalar
+from rpencil.scalars import DEFAULT_ASSIGNMENT, H, Q, Scalar, scalar
 
 GENS = ("x", "y")
 X = FreeElement.generator(GENS, "x")
@@ -64,6 +67,24 @@ def test_hilbert_rejects_filtered():
     weyl = complete([X * Y - Y * X - FreeElement.constant(GENS, 1)], 3)
     with pytest.raises(ValueError):
         hilbert(weyl, 2)
+
+
+def test_negative_degree_rejected():
+    plane = complete([X * Y - Q * (Y * X)], 3)
+    weyl = complete([X * Y - Y * X - FreeElement.constant(GENS, 1)], 3)
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        hilbert(plane, -1)
+    for ideal in (plane, weyl):
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            filtration_dims(ideal, -1)
+
+
+def test_normal_form_rejects_foreign_element():
+    # otherwise the element's indices would be read in the ideal's alphabet
+    ideal = a0q(2).to_ideal(3)
+    x, y, _ = (FreeElement.generator(GENS3, g) for g in GENS3)
+    with pytest.raises(GeneratorError):
+        normal_form(ideal, y * x)
 
 
 def _broken_a0q2():
@@ -144,9 +165,9 @@ def _reference_find_redex(word, rules, lengths):
 @lru_cache(maxsize=None)
 def _rule_systems():
     return (
-        complete(a0q(2).relations, 3).rules,
-        complete(jhq(2).relations, 3).rules,
-        complete(_broken_a0q2(), 3).rules,
+        complete(a0q(2).relations, 3),
+        complete(jhq(2).relations, 3),
+        complete(_broken_a0q2(), 3),
     )
 
 
@@ -159,9 +180,12 @@ _WORDS = st.lists(st.integers(0, len(GENS4) - 1), max_size=3).map(tuple)
 @settings(max_examples=150, deadline=None)
 @given(st.dictionaries(_WORDS, _COEFFS, max_size=6), st.integers(0, 2))
 def test_reduce_matches_reference(terms, which):
-    rules = _rule_systems()[which]
+    ideal = _rule_systems()[which]
     f = FreeElement(GENS4, terms)
-    assert _reduce(f, rules, _lengths(rules)) == _reference_reduce(f, rules)
+    out = _reduce(f, ideal.tails, _lengths(ideal.tails))
+    assert out == _reference_reduce(f, ideal.rules)
+    # f itself when nothing reduces, else the words in descending deglex order
+    assert out is f or list(out.terms) == sorted(out.terms, key=deglex_key, reverse=True)
 
 
 # The S-element formula that _overlap_elements replaced: two products with
@@ -177,6 +201,10 @@ def _reference_overlap_elements(w1, g1, w2, g2, bound):
         if s_elem:
             out.append(s_elem)
     return out
+
+
+def _reference_tail(g, lw):
+    return tuple((w, -c) for w, c in g.terms.items() if w != lw)
 
 
 _SHORT_WORDS = [w for p in range(4) for w in itertools.product(range(2), repeat=p)]
@@ -197,10 +225,62 @@ def _monic(draw):
 @given(_monic(), _monic(), st.integers(2, 6))
 def test_overlap_elements_match_reference(m1, m2, bound):
     (w1, g1), (w2, g2) = m1, m2
-    new = _overlap_elements(w1, g1, w2, g2, bound)
+    new = _overlap_elements(w1, g1, w2, _reference_tail(g2, w2), bound)
     ref = _reference_overlap_elements(w1, g1, w2, g2, bound)
     # values and term order
     assert [list(s.terms.items()) for s in new] == [list(s.terms.items()) for s in ref]
+
+
+def test_rewriting_never_negates(monkeypatch):
+    # the rules' tails carry the signs, so rewriting and S-elements only
+    # multiply and add
+    ideal = complete([r.specialize(DEFAULT_ASSIGNMENT) for r in a0q(3).relations], 4)
+    rules, tails = ideal.rules, ideal.tails
+    gens = ideal.generators
+    words = [(a,) + lw for lw in rules for a in range(len(gens))]
+    reduced = [_reference_reduce(FreeElement.word(gens, w), rules) for w in words]
+    pairs = [(w1, w2) for w1 in rules for w2 in rules]
+    overlaps = [_reference_overlap_elements(w1, rules[w1], w2, rules[w2], 4) for w1, w2 in pairs]
+    assert any(overlaps)
+
+    def refuse(*args):
+        raise AssertionError("Scalar negation or subtraction")
+
+    monkeypatch.setattr(Scalar, "__neg__", refuse)
+    monkeypatch.setattr(Scalar, "__sub__", refuse)
+    lengths = _lengths(tails)
+    for w, ref in zip(words, reduced):
+        assert _reduce(FreeElement.word(gens, w), tails, lengths) == ref
+    for (w1, w2), ref in zip(pairs, overlaps):
+        new = _overlap_elements(w1, rules[w1], w2, tails[w2], 4)
+        assert [list(s.terms.items()) for s in new] == [list(s.terms.items()) for s in ref]
+
+
+# The word scan that _word_count replaced: test every word of the length.
+def _reference_word_count(rules, letters, length):
+    lengths = sorted({len(w) for w in rules}, reverse=True)
+    words = itertools.product(range(letters), repeat=length)
+    return sum(_reference_find_redex(w, rules, lengths) is None for w in words)
+
+
+@st.composite
+def _leading_words(draw):
+    """A set of words of length 1-4 over 2-4 letters, and the letter count."""
+    letters = draw(st.integers(2, 4))
+    word = st.lists(st.integers(0, letters - 1), min_size=1, max_size=4).map(tuple)
+    return draw(st.sets(word, min_size=1, max_size=8)), letters
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_leading_words())
+def test_word_count_matches_scan(drawn):
+    words, letters = drawn
+    gens = tuple("abcd"[:letters])
+    rules = {w: FreeElement.word(gens, w) for w in words}
+    # bound 2: lengths past the bound are counted on demand
+    ideal = NcIdeal(gens, 2, "graded", rules, {w: () for w in words})
+    counts = [_word_count(ideal, k) for k in range(7)]
+    assert counts == [_reference_word_count(rules, letters, k) for k in range(7)]
 
 
 # The completion loop that complete replaced: inter-reduce every rule tail

@@ -193,3 +193,25 @@ def test_pencil_report_bytes_pinned(suite, n, mode):
     text = json.dumps(run_suite(suite, n, None, mode, 0), sort_keys=True, indent=2) + "\n"
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == _REPORT_SHA256[(suite, n, mode)]
+
+
+# the same for quantum-type2 fast at the degree frontier, keyed by (n, degree)
+_QUANTUM_FRONTIER_SHA256 = {
+    (3, 6): "0ecb132d0f650e65547678615f422257523519bc74d2d1d489e30f1dcc750763",
+    (3, 8): "89a48b3f0275de0f1f0e5aa79109d3dca41042595760a417ae6a1d94a0bc21b3",
+    (4, 5): "43109d488f03783a4a7a4522ac8431082a4d55b14c1a98c13db57aa48467ed9b",
+    (4, 8): "d0c9e0d1b624db62f3bdb2e8e05cd1a643a10fada13a222858a23d468db13eaf",
+    (5, 5): "5af61be587790edb2612514ca4b8cc50f2858269b1e8ee7a859c4285600c56ef",
+}
+
+
+@pytest.mark.parametrize("n,degree", sorted(_QUANTUM_FRONTIER_SHA256))
+def test_quantum_frontier_report_bytes_pinned(n, degree):
+    report = run_suite("quantum-type2", n, degree, "fast", 0)
+    assert report["verdict"] == "pass"
+    flatness = [c["details"] for c in report["checks"] if "dims" in c["details"]]
+    assert len(flatness) == 2
+    assert all(d["dims"] == d["expected"] for d in flatness)
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == _QUANTUM_FRONTIER_SHA256[(n, degree)]
