@@ -64,6 +64,20 @@ class GeneralizedLieBracket:
         """The overlap space of I_minus, computed once per bracket."""
         return overlap_space(self.i_minus)
 
+    @cached_property
+    def _partial_maps(self):
+        """The quadratic and linear parts of b (x) id - id (x) b on the tensor
+        cube, computed once per bracket.
+
+        The bracket's V-rows give the quadratic part (N^3 -> N^2) and its
+        constant row the linear part (N^3 -> N), so no constant term arises.
+        """
+        N = self.dim
+        eye = Mat.identity(N)
+        bv = Mat(N, N * N, self.matrix.rows[:N])
+        b1 = Mat(1, N * N, self.matrix.rows[N:])
+        return bv.kron(eye) - eye.kron(bv), b1.kron(eye) - eye.kron(b1)
+
     def bracket(self, vec: dict) -> dict:
         """Apply the bracket to a tensor-square vector; index N is the 1-slot."""
         return self.matrix.apply(vec)
@@ -126,19 +140,6 @@ def overlap_space(i: SubspaceBasis) -> SubspaceBasis:
     return kernel(Mat(len(rows), N**3, rows))
 
 
-def _partial_maps(g: GeneralizedLieBracket):
-    """The quadratic and linear parts of b (x) id - id (x) b on the tensor cube.
-
-    The bracket's V-rows give the quadratic part (N^3 -> N^2) and its
-    constant row the linear part (N^3 -> N), so no constant term arises.
-    """
-    N = g.dim
-    eye = Mat.identity(N)
-    bv = Mat(N, N * N, g.matrix.rows[:N])
-    b1 = Mat(1, N * N, g.matrix.rows[N:])
-    return bv.kron(eye) - eye.kron(bv), b1.kron(eye) - eye.kron(b1)
-
-
 def _images(rows, op: Mat) -> list:
     """op applied to every row vector, by one sparse product."""
     return (Mat(len(rows), op.ncols, rows) * op.transpose()).rows
@@ -146,7 +147,7 @@ def _images(rows, op: Mat) -> list:
 
 def check_axiom7(g: GeneralizedLieBracket):
     """(b (x) id - id (x) b) maps the overlap space into I_minus (mod V + k)."""
-    quad, _ = _partial_maps(g)
+    quad, _ = g._partial_maps
     for pos, image in enumerate(_images(g.overlap.rows, quad)):
         if not g.i_minus.contains(image):
             return False, {"overlap_index": pos, "residual": g.i_minus.reduce(image)}
@@ -160,7 +161,7 @@ def check_axiom8(g: GeneralizedLieBracket):
     quadratic and D1 linear; the requirement is b(D2) + D1 = 0 in V (+) k.
     """
     N = g.dim
-    quad, lin = _partial_maps(g)
+    quad, lin = g._partial_maps
     op = g.matrix * quad + Mat(N + 1, N**3, lin.rows + [{}])
     for pos, total in enumerate(_images(g.overlap.rows, op)):
         if total:

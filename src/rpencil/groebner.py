@@ -87,12 +87,9 @@ def _reduce(f: FreeElement, tails: dict, lengths: list) -> FreeElement:
     """Normal form of f with respect to the rules (deterministic strategy).
 
     ``tails`` maps each leading word to its rule's tail and ``lengths`` is
-    ``_lengths(tails)``.  Returns f itself when no word of f is reducible.
+    ``_lengths(tails)``.  The result's words are in descending deglex order.
     """
-    terms = f.terms
-    if not any(_find_redex(w, tails, lengths) for w in terms):
-        return f
-    work = {(len(w), w): c for w, c in terms.items()}
+    work = {(len(w), w): c for w, c in f.terms.items()}
     out = {}
     while work:
         key = max(work)

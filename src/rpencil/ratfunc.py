@@ -15,7 +15,8 @@ arithmetic, and the only code that looks at an operand's kind (exactly an
 int, a Fraction or a RatFunc).  Two constants are combined on the integer
 pairs by Henrici's method (Knuth, TAOCP vol. 2, 4.5.1), as Fraction's own
 operators are, and ``_fraction`` builds the coprime result directly; every
-other mix goes to ``_add``, ``_mul``, ``_add_ground`` or ``_mul_ground``.
+other sum goes to ``_add``, and every other product to ``_mul``, or to
+``_mul_ground`` when one factor is a constant.
 
 gcd(f, g) takes a shortcut when either is a single term.  Otherwise it is
 the heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC 7, 1989), which
@@ -121,9 +122,6 @@ def quo_ground(p, c: int):
 
 def power(p, n: int):
     """p**n for n >= 0 by repeated squaring."""
-    if len(p) == 1:
-        ((a, b, c), x), = p.items()
-        return {(a * n, b * n, c * n): x**n}
     out = ONE
     while n:
         if n & 1:
@@ -181,24 +179,13 @@ def primitive(p):
 
 def evaluate(p, point):
     """p at a point (q, h, lam) of field elements, as a field element."""
-    if any(isinstance(x, RatFunc) for x in point):
-        out = Fraction(0)
-        for monom, c in p.items():
-            for x, e in zip(point, monom):
-                if e:
-                    c = times(c, x**e)
-            out = plus(out, c)
-        return out
-    scale = 1
-    tables = []
-    for i, x in enumerate(point):
-        deg = max(m[i] for m in p)
-        num, den = x.numerator, x.denominator
-        # num**e * den**(deg - e), so that every term shares den**deg
-        tables.append([num**e * den ** (deg - e) for e in range(deg + 1)])
-        scale *= den**deg
-    tq, th, tl = tables
-    return Fraction(sum(c * tq[a] * th[b] * tl[k] for (a, b, k), c in p.items()), scale)
+    out = Fraction(0)
+    for monom, c in p.items():
+        for x, e in zip(point, monom):
+            if e:
+                c = times(c, x**e)
+        out = plus(out, c)
+    return out
 
 
 def to_str(p) -> str:
@@ -488,6 +475,13 @@ def _pairs(f, g):
     return None
 
 
+def _parts(f):
+    """(numer, denom) of a nonzero field element or int, as canonical polynomials."""
+    if type(f) is RatFunc:
+        return f.numer, f.denom
+    return {CONST: f.numerator}, {CONST: f.denominator}
+
+
 def _sum(na, da, nb, db) -> Fraction:
     """na/da + nb/db for coprime pairs with positive denominators: only a
     factor of gcd(da, db) can cancel (Fraction._add's steps).
@@ -521,11 +515,7 @@ def plus(f, g):
     p = _pairs(f, g)
     if p is not None:
         return _sum(*p)
-    if type(f) is not RatFunc:
-        f, g = g, f
-    if type(g) is RatFunc:
-        return demote(_add(f.numer, f.denom, g.numer, g.denom))
-    return _add_ground(f, g) if g else f
+    return demote(_add(*_parts(f), *_parts(g))) if f and g else f or g
 
 
 def minus(f, g):
@@ -607,8 +597,6 @@ def _add(n1, d1, n2, d2) -> RatFunc:
         top = add(n1, n2)
         if not top:
             return RatFunc({}, ONE)
-        if d1 == ONE:
-            return RatFunc(top, ONE)
         _, top, bottom = cofactors(top, d1)
         return RatFunc(top, bottom)
     g, e1, e2 = cofactors(d1, d2)
@@ -633,19 +621,3 @@ def _mul_ground(f: RatFunc, c) -> RatFunc:
     return RatFunc(
         mul_ground(quo_ground(numer, h), a // g), mul_ground(quo_ground(denom, g), b // h)
     )
-
-
-def _add_ground(f: RatFunc, c) -> RatFunc:
-    """f + c for a rational c.
-
-    numer*b + denom*a shares no polynomial factor with denom*b, because
-    numer and denom are coprime; only an integer can cancel.
-    """
-    a, b = c.numerator, c.denominator
-    numer, denom = f.numer, f.denom
-    if b == 1:
-        return RatFunc(add(numer, mul_ground(denom, a)), denom)
-    top = add(mul_ground(numer, b), mul_ground(denom, a))
-    bottom = mul_ground(denom, b)
-    g = gcd(content(top), b * content(denom))
-    return RatFunc(quo_ground(top, g), quo_ground(bottom, g))

@@ -10,7 +10,7 @@ from itertools import product
 from .commpoly import Poly
 from .linalg import DimensionMismatch, Mat, SubspaceBasis, image, kernel
 from .poisson import MatrixRep, PoissonStructure, matrix_coordinates, sd_quadratic
-from .scalars import ONE, Q, Scalar, scalar
+from .scalars import ONE, Q, ZERO, Scalar, scalar
 
 
 class NormalizationError(Exception):
@@ -54,85 +54,69 @@ def _unit(n: int, i: int, j: int) -> Mat:
     return m
 
 
+def _sl_roots(n: int) -> list:
+    """(X_a, X_-a) for each positive root eps_i - eps_j of sl(n): (E_ij, E_ji)."""
+    return [(_unit(n, i, j), _unit(n, j, i)) for i in range(n) for j in range(i + 1, n)]
+
+
+def _sp_roots(dim: int) -> list:
+    """(X_a, X_-a) for each positive root of sp of the skew form
+    <e_i, e_{i+m}> = 1, dim = 2m: eps_i - eps_j and eps_i + eps_j for i < j,
+    then 2 eps_i.
+    """
+    if dim % 2:
+        raise ValueError("dimension must be even")
+    m = dim // 2
+    roots = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            roots.append((_unit(dim, i, j) - _unit(dim, m + j, m + i),
+                          _unit(dim, j, i) - _unit(dim, m + i, m + j)))
+            roots.append((_unit(dim, i, m + j) + _unit(dim, j, m + i),
+                          _unit(dim, m + j, i) + _unit(dim, m + i, j)))
+        roots.append((_unit(dim, i, m + i), _unit(dim, m + i, i)))
+    return roots
+
+
+def _canonical(dim: int, roots) -> RMatrixElement:
+    """sum over the roots of (X_a (x) X_-a - X_-a (x) X_a) / tr(X_a X_-a).
+
+    Positive and negative root vectors are paired dually with respect to the
+    trace form of the representation; this is the normalization for which
+    the modified YBE holds.
+    """
+    mat = Mat(dim * dim, dim * dim)
+    for xp, xm in roots:
+        prod = xp * xm
+        trace = sum((prod[i, i] for i in range(dim)), ZERO)
+        mat = mat + (xp.kron(xm) - xm.kron(xp)) * (1 / trace)
+    return RMatrixElement(dim, mat)
+
+
 def canonical_r(n: int) -> RMatrixElement:
     """sum_{i<j} E_ij (x) E_ji - E_ji (x) E_ij in the fundamental picture."""
     if n < 2:
         raise ValueError("need n >= 2")
-    mat = Mat(n * n, n * n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            # E_ij (x) E_ji has its single entry at row (i,j), col (j,i)
-            mat.add_to(i * n + j, j * n + i, ONE)
-            mat.add_to(j * n + i, i * n + j, -ONE)
-    return RMatrixElement(n, mat)
+    return _canonical(n, _sl_roots(n))
+
+
+def canonical_r_sp(dim: int) -> RMatrixElement:
+    """The canonical r-matrix of sp(dim) through its defining representation."""
+    return _canonical(dim, _sp_roots(dim))
 
 
 def sl_fundamental(n: int) -> MatrixRep:
-    basis = [_unit(n, i, j) for i in range(n) for j in range(n) if i != j]
-    for i in range(n - 1):
-        basis.append(_unit(n, i, i) - _unit(n, i + 1, i + 1))
+    basis = [x for pair in _sl_roots(n) for x in pair]
+    basis += [_unit(n, i, i) - _unit(n, i + 1, i + 1) for i in range(n - 1)]
     return MatrixRep(n, tuple(basis))
 
 
 def sp_fundamental(dim: int) -> MatrixRep:
     """sp of the standard skew form <e_i, e_{i+m}> = 1, dim = 2m."""
-    if dim % 2:
-        raise ValueError("dimension must be even")
+    basis = [x for pair in _sp_roots(dim) for x in pair]
     m = dim // 2
-    basis = []
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                basis.append(_unit(dim, i, j) - _unit(dim, m + j, m + i))
-        basis.append(_unit(dim, i, i) - _unit(dim, m + i, m + i))
-        basis.append(_unit(dim, i, m + i))
-        basis.append(_unit(dim, m + i, i))
-    for i in range(m):
-        for j in range(i + 1, m):
-            basis.append(_unit(dim, i, m + j) + _unit(dim, j, m + i))
-            basis.append(_unit(dim, m + j, i) + _unit(dim, m + i, j))
+    basis += [_unit(dim, i, i) - _unit(dim, m + i, m + i) for i in range(m)]
     return MatrixRep(dim, tuple(basis))
-
-
-def canonical_r_sp(dim: int) -> RMatrixElement:
-    """The canonical r-matrix of sp(dim) through its defining representation.
-
-    Positive and negative root vectors are paired dually with respect to the
-    trace form of the representation (the weight 1/tr(X_a X_{-a}) per root);
-    this is the normalization for which the modified YBE holds.
-    """
-    if dim % 2:
-        raise ValueError("dimension must be even")
-    m = dim // 2
-    half = Scalar(1) / 2
-    pairs = []
-    for i in range(m):
-        for j in range(m):
-            if i < j:
-                # short root eps_i - eps_j; tr(X X-) = 2
-                pairs.append(
-                    (
-                        _unit(dim, i, j) - _unit(dim, m + j, m + i),
-                        _unit(dim, j, i) - _unit(dim, m + i, m + j),
-                        half,
-                    )
-                )
-        # long root 2 eps_i; tr(X X-) = 1
-        pairs.append((_unit(dim, i, m + i), _unit(dim, m + i, i), ONE))
-    for i in range(m):
-        for j in range(i + 1, m):
-            # short root eps_i + eps_j; tr(X X-) = 2
-            pairs.append(
-                (
-                    _unit(dim, i, m + j) + _unit(dim, j, m + i),
-                    _unit(dim, m + j, i) + _unit(dim, m + i, j),
-                    half,
-                )
-            )
-    mat = Mat(dim * dim, dim * dim)
-    for xp, xm, c in pairs:
-        mat = mat + c * (xp.kron(xm) - xm.kron(xp))
-    return RMatrixElement(dim, mat)
 
 
 def schouten(r: RMatrixElement) -> Mat:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rpencil.linalg import DimensionMismatch, Mat, intersect, rref
+from rpencil.linalg import DimensionMismatch, Mat, SubspaceBasis, intersect, rref
 from rpencil.poisson import sd_quadratic
 from rpencil.rmatrix import (
     BraidOperator,
@@ -86,6 +86,19 @@ def test_sp_canonical_r():
         F = flip_operator(dim).mat
         assert (r.mat + F * r.mat * F).is_zero()
         assert is_modified(r, sp_fundamental(dim))
+
+
+@pytest.mark.parametrize("rep,dim", [(sl_fundamental, n) for n in (2, 3, 4, 5)]
+                         + [(sp_fundamental, d) for d in (2, 4, 6, 8)])
+def test_fundamental_basis_is_independent(rep, dim):
+    # sl(n) has dimension n^2 - 1 and sp(2m) m(2m + 1); is_modified tests
+    # each basis element, so a missing or dependent one would go unnoticed
+    expected = dim * dim - 1 if rep is sl_fundamental else dim * (dim + 1) // 2
+    basis = rep(dim).basis_matrices
+    assert len(basis) == expected
+    vecs = [{i * dim + j: v for i, row in enumerate(x.rows) for j, v in row.items()}
+            for x in basis]
+    assert SubspaceBasis(dim * dim, vecs).dim == expected
 
 
 def test_sklyanin_single_kappa():

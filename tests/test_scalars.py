@@ -449,6 +449,30 @@ def test_specialize_at_a_parametric_point(x, n, name, image):
     _same(value, fnum / fden)
 
 
+_point_values = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_scalars(), st.integers(min_value=1, max_value=3),
+       st.tuples(_point_values, _point_values, _point_values))
+@example(Q * H / (LAM + 1), 2, (Fraction(1, 2), Fraction(3), Fraction(-1)))
+@example((H - 2 * LAM) / (Q * H - 1), 1, (Fraction(2), Fraction(1, 2), Fraction(-2, 3)))
+def test_specialize_at_a_rational_point(x, n, values):
+    # all of q, h and lam set to rationals, against sympy's own substitution;
+    # the small values sometimes hit a pole of the drawn denominators
+    x = x**n
+    point = dict(zip(("q", "h", "lam"), values))
+    fx = _field(x)
+    den = _sympy_rational(fx.denom, point)
+    if not den:
+        with pytest.raises(PoleError):
+            x.specialize(point)
+        return
+    value = x.specialize(point)._f
+    assert type(value) is Fraction
+    assert value == _sympy_rational(fx.numer, point) / den
+
+
 @settings(max_examples=100, deadline=None)
 @given(mixed_scalars())
 def test_parse_canonical_round_trip(x):

@@ -164,7 +164,7 @@ def test_pencil_fast_run_is_the_exact_run(suite, n):
 
 
 # sha256 of the report bytes as `rpencil run` prints them, at seed 0 and the
-# default degree (3 at n=4)
+# default degree (3 from n=4 on)
 _REPORT_SHA256 = {
     ("pencil-type1", 2, "exact"): "fdde73355fbef83e25b9ffa71c67ad74e2da9f40deac116e0e7b9251433a6f5d",
     ("pencil-type1", 2, "fast"): "fe82764c5f15da1c792862a660375822c32e450cc7f744d450a24c094123fdb4",
@@ -175,16 +175,21 @@ _REPORT_SHA256 = {
     ("pencil-type2", 3, "exact"): "b0ec69f4708b6c6695b088fe6174733777bce98b93e02986ba2170b20a8619b9",
     ("pencil-type2", 3, "fast"): "a78a29450e443d4a9ea8c0940b94e4890d0d340f41ddaccbcc9d3aeb6e49def7",
     ("pencil-type2", 4, "fast"): "47481886e26dc375ef446e890bf3ccbeedcd3e2e7092b826e9f227897a43247f",
+    ("pencil-type2", 4, "exact"): "fdbc9f57f1450ff488df2244b5145150baab4adca27af2596509edb1967f5d31",
     ("quantum-type2", 2, "exact"): "4d79ed030848fb2b9c46550bfa65ba9b6c6a412eb879130a1fbdfa6ecaeeff1d",
     ("quantum-type2", 2, "fast"): "4aefdd939f88d65466a746c07f2a8f632343afb0bd8cba624ffb2fea572ce1f1",
     ("quantum-type2", 3, "exact"): "3da0c4a96572a609f91ddbd688ea675cb4c9eb4b795be16c42d3c20b0557b98e",
     ("quantum-type2", 3, "fast"): "bc715070c4d6b107f6072bd932efc7a625f59803a14cd6aa0317de47de2d38e0",
     ("quantum-type2", 4, "fast"): "63e5030641befaed7fd4b80aa964f269d30525483a244cf9a93408ef985db2f7",
+    ("quantum-type2", 4, "exact"): "a5e54a000daeefd5b8e89e2aac2d4a9fa49666b3d4093d3076a9eb327638f2c5",
+    ("quantum-type2", 5, "fast"): "27c61b347df7aa4ccb19702b4840b54546cef77762216ca110a329793d0c21af",
+    ("quantum-type2", 6, "fast"): "a17ab88f5c2a55bbbb4c159c75e6a74a18c5d2660a288755f9e50daba52c2cf3",
     ("glie", 2, "exact"): "2ae7066ac54ad8d4e82c2e072c89ab449a16f9d2c47d32e4396af68f6840c1ca",
     ("glie", 2, "fast"): "5d364b10dc00964615309e99733b8dac1539e5c08eab22bb247c0808dc7bc3d0",
     ("glie", 3, "exact"): "8cc99e354d97289cfc1f5d15b22f2ea5a66f13aced03630c568117b69b0165b2",
     ("glie", 3, "fast"): "743a9d001ae250e572674c64cc2cdfba7d17fa673e458153c3ec37497dab6dc1",
     ("glie", 4, "fast"): "e90a4c74d0617df1d09d11201e7c04e629dd26bf232f32865437296703b7a03a",
+    ("glie", 4, "exact"): "b3ee39411b1ba87a124c99ec3eeb841ea58e4f2fc6292bb9957378a94d15876a",
 }
 
 
