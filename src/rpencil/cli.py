@@ -76,10 +76,7 @@ def main(argv=None) -> int:
     if args.command == "parse":
         try:
             obj = serialize.load(args.path)
-        except serialize.FormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except OSError as exc:
+        except (serialize.FormatError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         sys.stdout.write(serialize.dumps(obj))

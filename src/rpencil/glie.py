@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .freealg import FreeElement
-from .groebner import quadratic_flag
-from .linalg import DimensionMismatch, Mat, SubspaceBasis, annihilator, complementary, kernel
+from .linalg import Mat, SubspaceBasis, annihilator, complementary, kernel, rref
 from .poisson import gl_structure
 from .quadratic import QuadraticPresentation, jhq
 from .rmatrix import BraidOperator, eigen_split, flip_operator, hecke_s, s_w
@@ -99,23 +98,18 @@ class GeneralizedLieBracket:
         vector to its value and killing i_plus.
         """
         N = len(generators)
-        quads = [p[0] for p in pairs]
-        i_minus = SubspaceBasis(N * N, quads)
+        NN = N * N
+        i_minus = SubspaceBasis(NN, [p[0] for p in pairs])
         if i_minus.dim != len(pairs):
             raise SplittingError("dependent relation vectors")
-        basis = Mat(N * N, N * N)
-        for col, vec in enumerate(quads + list(i_plus.rows)):
-            for idx, c in vec.items():
-                basis.set(idx, col, c)
-        try:
-            inverse = basis.inverse()
-        except DimensionMismatch:
-            raise SplittingError("relation vectors and I_plus do not span V(x)V") from None
-        values = Mat(N + 1, N * N)
-        for col, (_, val) in enumerate(pairs):
-            for idx, c in val.items():
-                values.set(idx, col, c)
-        matrix = values * inverse
+        # rows (q, b(q)) and (p, 0): once the q and p span V(x)V, reducing
+        # the left block to the identity leaves b(e_j) in row j
+        rows = [{**quad, **{NN + i: c for i, c in val.items()}} for quad, val in pairs]
+        reduced, pivots = rref(rows + i_plus.rows, NN + N + 1)
+        if pivots != list(range(NN)):
+            raise SplittingError("relation vectors and I_plus do not span V(x)V")
+        values = [{i - NN: c for i, c in row.items() if i >= NN} for row in reduced]
+        matrix = Mat(NN, N + 1, values).transpose()
         return GeneralizedLieBracket(tuple(generators), i_plus, i_minus, matrix)
 
 
@@ -213,7 +207,7 @@ def enveloping(g: GeneralizedLieBracket) -> QuadraticPresentation:
     for row in g.i_minus.rows:
         quad = FreeElement.from_vector(g.generators, 2, row)
         rels.append(quad - g.value_element(row))
-    return QuadraticPresentation(g.generators, tuple(rels), quadratic_flag(rels))
+    return QuadraticPresentation(g.generators, tuple(rels))
 
 
 def classical_glie(n: int) -> GeneralizedLieBracket:

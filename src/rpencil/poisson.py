@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .commpoly import GeneratorError, Poly
-from .linalg import DimensionMismatch, Mat, SubspaceBasis
+from .linalg import Mat, SubspaceBasis
 from .scalars import PoleError, scalar
 
 
@@ -322,15 +322,13 @@ class MatrixRep:
         return out
 
 
-def rmatrix_bracket(rep: MatrixRep, r) -> PoissonStructure:
+def rmatrix_bracket(r) -> PoissonStructure:
     """Quadratic bracket {x_p, x_s} = sum r[(i,k),(p,s)] x_i x_k on Fun(V*).
 
-    ``r`` is any object with fields dim and mat (an n^2 x n^2 Mat), e.g. an
-    RMatrixElement.
+    ``r`` is any object with fields dim = dim V and mat (an n^2 x n^2 Mat),
+    e.g. an RMatrixElement.
     """
-    n = rep.dim
-    if r.dim != n:
-        raise DimensionMismatch(f"representation dim {n} vs r-matrix dim {r.dim}")
+    n = r.dim
     gens = coordinate_generators(n)
 
     def x(i):

@@ -29,14 +29,16 @@ class QuadraticPresentation:
 
     generators: tuple
     relations: tuple  # FreeElements of degree 2
-    flag: str  # "graded" | "filtered"
 
     def __post_init__(self):
         for r in self.relations:
             if r.degree() != 2:
                 raise ValueError("relations must have a nonzero quadratic part")
-            if self.flag == "graded" and (r.homogeneous_part(2) != r):
-                raise ValueError("graded presentation carries lower-order terms")
+
+    @property
+    def flag(self) -> str:
+        """The relations' flag, graded or filtered (``quadratic_flag``)."""
+        return quadratic_flag(self.relations)
 
     @property
     def dim(self) -> int:
@@ -54,9 +56,7 @@ class QuadraticPresentation:
         """Specialize every relation; each distinct coefficient is specialized once."""
         value = cache(lambda c: c.specialize(assignment))
         return QuadraticPresentation(
-            self.generators,
-            tuple(r.scalar_map(value) for r in self.relations),
-            self.flag,
+            self.generators, tuple(r.scalar_map(value) for r in self.relations)
         )
 
 
@@ -117,7 +117,7 @@ def a0q(n: int) -> QuadraticPresentation:
     if n < 2:
         raise ValueError("need n >= 2")
     gens, rels = _pair_relations(n, with_lower=False)
-    pres = QuadraticPresentation(tuple(gens), tuple(rels), "graded")
+    pres = QuadraticPresentation(tuple(gens), tuple(rels))
     sw = s_w(hecke_s(n))
     # I_minus is image(S_W - id); the kernel I_plus is not needed here
     if pres.quadratic_space() != image(sw.mat - Mat.identity(sw.dim * sw.dim)):
@@ -133,7 +133,7 @@ def jhq(n: int) -> QuadraticPresentation:
     if n < 2:
         raise ValueError("need n >= 2")
     gens, rels = _pair_relations(n, with_lower=True)
-    return QuadraticPresentation(tuple(gens), tuple(rels), "filtered")
+    return QuadraticPresentation(tuple(gens), tuple(rels))
 
 
 def lambda_substitute(p: QuadraticPresentation) -> QuadraticPresentation:
@@ -171,56 +171,35 @@ def lambda_substitute(p: QuadraticPresentation) -> QuadraticPresentation:
                 f"diagonal shift leaves a constant term {const} in relation {rel}"
             )
         out.append(shifted)
-    return QuadraticPresentation(gens, tuple(out), quadratic_flag(out))
+    return QuadraticPresentation(gens, tuple(out))
 
 
-def certify_flat_graded(
-    p: QuadraticPresentation, degree: int, ideal: NcIdeal = None
-) -> dict:
-    """Compare graded dimensions with the commutative monomial count.
-
-    ``ideal``, if given, is ``p.to_ideal(degree)`` completed by the caller.
+def certify_flat_graded(ideal: NcIdeal) -> dict:
+    """Compare the graded dimensions of a completed graded ideal, such as
+    ``a0q(n).to_ideal(d)``, with the commutative monomial count in every
+    degree up to the ideal's bound.
     """
-    if degree < 2:
-        raise ValueError("need degree >= 2")
-    if p.flag != "graded":
-        raise ValueError("graded certification needs a graded presentation")
-    if ideal is None:
-        ideal = p.to_ideal(degree)
-    N = p.dim
+    N = len(ideal.generators)
+    degree = ideal.degree_bound
     dims = [hilbert(ideal, k) for k in range(degree + 1)]
     expected = [comb(N + k - 1, k) for k in range(degree + 1)]
-    return {
-        "dims": dims,
-        "expected": expected,
-        "flat": dims == expected,
-        "degree": degree,
-    }
+    return {"dims": dims, "expected": expected, "flat": dims == expected}
 
 
-def certify_flat_filtered(
-    p: QuadraticPresentation,
-    target: QuadraticPresentation,
-    degree: int,
-    graded_ideal: NcIdeal = None,
-) -> dict:
-    """PBW comparison of a filtered presentation against its graded target.
-
-    ``graded_ideal``, if given, is ``target.to_ideal(degree)`` completed by
-    the caller.
+def certify_flat_filtered(filtered: NcIdeal, graded: NcIdeal) -> dict:
+    """PBW comparison of a completed filtered ideal against its completed
+    graded target in every degree up to the filtered ideal's bound, which
+    the graded ideal's bound must reach.
     """
-    if p.generators != target.generators:
-        raise GeneratorError("presentations over different generator sets")
-    filtered_ideal = p.to_ideal(degree)
-    if graded_ideal is None:
-        graded_ideal = target.to_ideal(degree)
-    dims = filtration_dims(filtered_ideal, degree)
-    expected = list(accumulate(hilbert(graded_ideal, k) for k in range(degree + 1)))
+    if filtered.generators != graded.generators:
+        raise GeneratorError("ideals over different generator sets")
+    degree = filtered.degree_bound
+    dims = filtration_dims(filtered, degree)
+    expected = list(accumulate(hilbert(graded, k) for k in range(degree + 1)))
     failing = next((k for k, (a, b) in enumerate(zip(dims, expected)) if a != b), None)
     return {
         "dims": dims,
         "expected": expected,
         "flat": failing is None,
         "first_failing_degree": failing,
-        "degree": degree,
     }

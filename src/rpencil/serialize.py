@@ -4,7 +4,8 @@ Every scalar is stored in its canonical string form; parsing rejects
 non-canonical spellings, so serialization round-trips are exact and files
 are byte-stable.  Index keys ("3", "0,2") are canonical too: each part must
 equal ``str(int(part))``, so " 0", "+0", "00" and "٠" are rejected and one
-entry has one spelling.  Schema violations raise FormatError carrying the
+entry has one spelling.  Likewise a quadratic file's flag must be the one
+its relations determine.  Schema violations raise FormatError carrying the
 path of the offending field.
 
 A file repeats a few distinct scalars many times.  Each call of
@@ -294,16 +295,17 @@ def from_data(data):
 
     if kind == "quadratic":
         flag = _expect(payload, "flag", str, path)
-        if flag not in ("graded", "filtered"):
-            raise FormatError(f"{path}.flag", f"unknown flag {flag!r}")
         rels = _expect(payload, "relations", list, path)
         relations = tuple(
             _free_in(r, generators, f"{path}.relations[{k}]", scalars) for k, r in enumerate(rels)
         )
         try:
-            return QuadraticPresentation(generators, relations, flag)
+            pres = QuadraticPresentation(generators, relations)
         except ValueError as exc:
             raise FormatError(f"{path}.relations", str(exc)) from None
+        if flag != pres.flag:
+            raise FormatError(f"{path}.flag", f"relations are {pres.flag}, not {flag!r}")
+        return pres
 
     i_plus = _basis_in(_expect(payload, "i_plus", dict, path), f"{path}.i_plus", scalars)
     i_minus = _basis_in(_expect(payload, "i_minus", dict, path), f"{path}.i_minus", scalars)

@@ -143,7 +143,7 @@ def _suite_pencil_type1(n, degree, assign, rng, checks):
         checks.add(f"sp{dim}-closes", rep.closes_under_commutator())
         r = _rmatrix.canonical_r_sp(dim)
         checks.add(f"modified-r-sp{dim}", _rmatrix.is_modified(r, rep))
-        bracket = _poisson.rmatrix_bracket(rep, r)
+        bracket = _poisson.rmatrix_bracket(r)
         ok, witness = bracket.is_poisson()
         checks.add(f"sp{dim}-poisson", ok, witness=_opt(witness))
         ok, witness = _poisson.are_compatible(
@@ -230,11 +230,11 @@ def _suite_quantum_type2(n, degree, assign, rng, checks):
     filtered = _quadratic.jhq(n)
     pres_run, filtered_run = _maybe(pres, assign), _maybe(filtered, assign)
     graded_ideal = pres_run.to_ideal(degree)
-    graded = _quadratic.certify_flat_graded(pres_run, degree, graded_ideal)
+    graded = _quadratic.certify_flat_graded(graded_ideal)
     checks.add(
         "graded-flatness", graded["flat"], dims=graded["dims"], expected=graded["expected"]
     )
-    pbw = _quadratic.certify_flat_filtered(filtered_run, pres_run, degree, graded_ideal)
+    pbw = _quadratic.certify_flat_filtered(filtered_run.to_ideal(degree), graded_ideal)
     checks.add(
         "filtered-flatness-pbw",
         pbw["flat"],

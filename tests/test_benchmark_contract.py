@@ -4,12 +4,14 @@ perfbench/spans.py rebinds the functions and methods listed in its TARGETS
 table, and perfbench/child.py calls rpencil directly to build the parse-n4
 files (the factories in spec.PARSE_FILES) and to run the microbenchmarks.  A
 refactor that removes or renames one of them would only show up when a
-benchmark run fails, so all of them are checked here.
+benchmark run fails, so all of them are checked here, together with the
+positional parameters whose arguments the spans.py counters read.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -80,3 +82,14 @@ def test_child_name_resolves(name):
     for attr in path.split("."):
         assert hasattr(owner, attr), name
         owner = getattr(owner, attr)
+
+
+@pytest.mark.parametrize(
+    "module,attr,names",
+    [("rpencil.linalg", "rref", ["rows", "ncols"]), ("rpencil.serialize", "loads", ["text"])],
+)
+def test_span_counters_read_named_arguments(module, attr, names):
+    # spans.py counts rref cells from args[0] and args[1] and loads bytes
+    # from args[0], so these positional parameters must keep their places
+    params = list(inspect.signature(getattr(importlib.import_module(module), attr)).parameters)
+    assert params[: len(names)] == names

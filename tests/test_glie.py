@@ -166,6 +166,41 @@ def _random_on(g, seed):
     return random_bracket(g.i_plus, g.i_minus, g.generators, seed)
 
 
+def _reference_bracket_matrix(generators, i_plus, pairs):
+    """The bracket matrix as values * basis^-1, the basis matrix holding the
+    relation vectors and then the I_plus rows as its columns."""
+    NN = len(generators) ** 2
+    basis = Mat(NN, NN)
+    for col, vec in enumerate([q for q, _ in pairs] + list(i_plus.rows)):
+        for idx, c in vec.items():
+            basis.set(idx, col, c)
+    values = Mat(len(generators) + 1, NN)
+    for col, (_, val) in enumerate(pairs):
+        for idx, c in val.items():
+            values.set(idx, col, c)
+    return values * basis.inverse()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: from_presentation(jhq(2), type2_bracket(2).i_plus), lambda: _fast_type2(3)]
+    + [lambda s=s: _random_on(classical_glie(2), s) for s in range(6)],
+    ids=["type2-2", "fast-type2-3"] + [f"random-classical-{s}" for s in range(6)],
+)
+def test_from_relation_values_matches_reference(make, monkeypatch):
+    # the builders' own arguments, run through the reference construction
+    calls = []
+    build = GeneralizedLieBracket.from_relation_values
+
+    def recording(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(GeneralizedLieBracket, "from_relation_values", staticmethod(recording))
+    g = make()
+    assert g.matrix == _reference_bracket_matrix(*calls[-1])
+
+
 @pytest.mark.parametrize(
     "make,fails",
     [
@@ -270,7 +305,7 @@ def test_enveloping_equals_filtered_algebra():
 
 def test_enveloping_is_flat():
     env = enveloping(type2_bracket(2))
-    assert certify_flat_filtered(env, a0q(2), 3)["flat"]
+    assert certify_flat_filtered(env.to_ideal(3), a0q(2).to_ideal(3))["flat"]
 
 
 def test_enveloping_zero_bracket_is_symmetric_algebra():

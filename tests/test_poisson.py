@@ -158,7 +158,7 @@ def test_sp_representation_closes():
 
 def test_rmatrix_bracket_sp():
     for dim in (2, 4):
-        br = rmatrix_bracket(sp_fundamental(dim), canonical_r_sp(dim))
+        br = rmatrix_bracket(canonical_r_sp(dim))
         ok, witness = br.is_poisson()
         assert ok, witness
         ok, witness = are_compatible(br, constant_symplectic(dim))

@@ -45,23 +45,22 @@ def test_graded_rejects_lower_terms():
     gens = ("x", "y")
     x = FreeElement.generator(gens, "x")
     y = FreeElement.generator(gens, "y")
+    assert QuadraticPresentation(gens, (x * y - x,)).flag == "filtered"
     with pytest.raises(ValueError):
-        QuadraticPresentation(gens, (x * y - x,), "graded")
-    with pytest.raises(ValueError):
-        QuadraticPresentation(gens, (x - y,), "filtered")
+        QuadraticPresentation(gens, (x - y,))
 
 
 def test_graded_flatness():
-    assert certify_flat_graded(a0q(2), 4)["dims"] == [1, 4, 10, 20, 35]
-    assert certify_flat_graded(a0q(3), 3)["dims"] == [1, 9, 45, 165]
-    assert certify_flat_graded(a0q(2), 4)["flat"]
+    assert certify_flat_graded(a0q(2).to_ideal(4))["dims"] == [1, 4, 10, 20, 35]
+    assert certify_flat_graded(a0q(3).to_ideal(3))["dims"] == [1, 9, 45, 165]
+    assert certify_flat_graded(a0q(2).to_ideal(4))["flat"]
 
 
 def test_filtered_flatness():
-    report = certify_flat_filtered(jhq(2), a0q(2), 4)
+    report = certify_flat_filtered(jhq(2).to_ideal(4), a0q(2).to_ideal(4))
     assert report["flat"] and report["first_failing_degree"] is None
     assert report["dims"] == [1, 5, 15, 35, 70]
-    report = certify_flat_filtered(jhq(3), a0q(3), 3)
+    report = certify_flat_filtered(jhq(3).to_ideal(3), a0q(3).to_ideal(3))
     assert report["flat"]
 
 
@@ -69,10 +68,9 @@ def test_filtered_flatness_failure():
     # [x,y] = y, [y,z] = x, [z,x] = 0 breaks Jacobi, so x lies in the ideal
     gens = ("x", "y", "z")
     x, y, z = (FreeElement.generator(gens, g) for g in gens)
-    lie = QuadraticPresentation(gens, (x * y - y * x - y, y * z - z * y - x, z * x - x * z),
-                                "filtered")
-    plane = QuadraticPresentation(gens, (x * y - y * x, y * z - z * y, z * x - x * z), "graded")
-    report = certify_flat_filtered(lie, plane, 3)
+    lie = QuadraticPresentation(gens, (x * y - y * x - y, y * z - z * y - x, z * x - x * z))
+    plane = QuadraticPresentation(gens, (x * y - y * x, y * z - z * y, z * x - x * z))
+    report = certify_flat_filtered(lie.to_ideal(3), plane.to_ideal(3))
     assert report["dims"] == [1, 2, 3, 4]
     assert report["expected"] == [1, 4, 10, 20]
     assert not report["flat"] and report["first_failing_degree"] == 1
@@ -83,11 +81,11 @@ def _broken_a0q2():
     pres = a0q(2)
     broken = list(pres.relations)
     broken[0] = broken[0] + (Q - Q * Q) * FreeElement.word(pres.generators, (1, 0))
-    return QuadraticPresentation(pres.generators, tuple(broken), "graded")
+    return QuadraticPresentation(pres.generators, tuple(broken))
 
 
 def test_corrupted_relation_breaks_flatness():
-    report = certify_flat_graded(_broken_a0q2(), 3)
+    report = certify_flat_graded(_broken_a0q2().to_ideal(3))
     assert not report["flat"]
     assert report["dims"][3] < report["expected"][3]
 
@@ -116,7 +114,7 @@ def test_same_ideal_other_generating_set(completions):
     pres = jhq(2)
     rels = list(pres.relations)
     rels[0] = rels[0] + 2 * rels[1]
-    other = QuadraticPresentation(pres.generators, tuple(reversed(rels)), "filtered")
+    other = QuadraticPresentation(pres.generators, tuple(reversed(rels)))
     assert same_ideal(pres, other, 3)
     assert same_ideal(other, pres, 3)
     assert completions == [3, 3, 3, 3]
@@ -132,12 +130,10 @@ def test_same_ideal_identical_relations_complete_nothing(completions):
     gens = ("x", "y")
     x, y = (FreeElement.generator(gens, g) for g in gens)
     collapsing = QuadraticPresentation(
-        gens, (x * y - y * x, x * y - y * x - FreeElement.constant(gens, 1)), "filtered"
+        gens, (x * y - y * x, x * y - y * x - FreeElement.constant(gens, 1))
     )
     for pres in (a0q(3), jhq(2), collapsing):
-        reordered = QuadraticPresentation(
-            pres.generators, tuple(reversed(pres.relations)), pres.flag
-        )
+        reordered = QuadraticPresentation(pres.generators, tuple(reversed(pres.relations)))
         assert same_ideal(pres, reordered, 3)
     assert completions == []
     with pytest.raises(IdealCollapse):
@@ -161,8 +157,8 @@ def test_lambda_substitution_flags():
 
 
 def test_fast_mode_certification_agrees():
-    exact = certify_flat_graded(a0q(2), 4)
-    fast = certify_flat_graded(a0q(2).specialize(DEFAULT_ASSIGNMENT), 4)
+    exact = certify_flat_graded(a0q(2).to_ideal(4))
+    fast = certify_flat_graded(a0q(2).specialize(DEFAULT_ASSIGNMENT).to_ideal(4))
     assert exact["flat"] == fast["flat"]
     assert exact["dims"] == fast["dims"]
 

@@ -113,6 +113,18 @@ def test_quadratic_bad_word():
         serialize.from_data(data)
 
 
+@pytest.mark.parametrize(
+    "obj,flag", [(a0q(2), "filtered"), (jhq(2), "graded"), (a0q(2), "mixed")]
+)
+def test_quadratic_flag_must_match_relations(obj, flag):
+    # the relations fix the flag, so a file gets one spelling of it
+    data = serialize.to_data(obj)
+    data["payload"]["flag"] = flag
+    with pytest.raises(FormatError) as err:
+        serialize.from_data(data)
+    assert err.value.path == "$.payload.flag"
+
+
 def test_repeated_terms_are_summed():
     data = serialize.to_data(a0q(2))
     data["payload"]["relations"][0] += [[[0, 1], "2"], [[1, 0], "q"]]
