@@ -83,19 +83,6 @@ class PoissonStructure:
         """(True, None) or (False, witness generator-name triple)."""
         return _verdict(self.generators, schouten_bracket(self, self))
 
-    def scale(self, c) -> "PoissonStructure":
-        c = scalar(c)
-        return PoissonStructure(
-            self.generators, {k: p * c for k, p in self.table.items()}
-        )
-
-    def add(self, other: "PoissonStructure") -> "PoissonStructure":
-        self._check(other)
-        table = dict(self.table)
-        for k, p in other.table.items():
-            table[k] = table.get(k, Poly.zero(self.generators)) + p
-        return PoissonStructure(self.generators, table)
-
     def __eq__(self, other):
         if not isinstance(other, PoissonStructure):
             return NotImplemented
@@ -161,8 +148,12 @@ def are_compatible(p1: PoissonStructure, p2: PoissonStructure):
 
 
 def pencil(p1: PoissonStructure, p2: PoissonStructure, a, b) -> PoissonStructure:
+    """a P1 + b P2, entry by entry over the keys of both tables."""
     p1._check(p2)
-    return p1.scale(a).add(p2.scale(b))
+    a, b = scalar(a), scalar(b)
+    return PoissonStructure(p1.generators, {
+        k: p1.entry(*k) * a + p2.entry(*k) * b for k in {**p1.table, **p2.table}
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -78,18 +78,6 @@ def add(f, g):
     return out
 
 
-def sub(f, g):
-    out = dict(f)
-    get = out.get
-    for m, c in g.items():
-        c = get(m, 0) - c
-        if c:
-            out[m] = c
-        else:
-            del out[m]
-    return out
-
-
 def mul(f, g):
     if len(f) == 1:
         f, g = g, f
@@ -378,7 +366,7 @@ def _prem(a, b, v: int):
             break
         la = _coefficients_in(a, v)[da]
         shift = {CONST[:v] + (da - db,) + CONST[v + 1 :]: 1}
-        a = sub(mul(lb, a), mul(mul(la, shift), b))
+        a = add(mul(lb, a), neg(mul(mul(la, shift), b)))
         steps -= 1
     return mul(a, power(lb, steps)) if a and steps else a
 

@@ -1,16 +1,21 @@
 """Classical r-matrices, the Hecke braid operator and the induced operator
 on matrix-coefficient space, with Schouten, QYBE and eigenspace machinery.
+
+One leg swap P, a relabelling, gives ``r13`` in the Schouten bracket, the
+quantum ``S_W = P (S (x) S^-T) P`` and the classical Sklyanin operator
+``P (R^T (x) 1 - 1 (x) R) P``, whose ``rmatrix_bracket`` is the Sklyanin table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .commpoly import Poly
-from .linalg import DimensionMismatch, Mat, SubspaceBasis, image, kernel
-from .poisson import MatrixRep, PoissonStructure, matrix_coordinates, sd_quadratic
-from .scalars import ONE, Q, ZERO, Scalar, scalar
+from .linalg import DimensionMismatch, Mat, image, kernel
+from .poisson import (
+    MatrixRep, PoissonStructure, matrix_generators, rmatrix_bracket, sd_quadratic,
+)
+from .scalars import ONE, Q, ZERO
 
 
 class NormalizationError(Exception):
@@ -46,6 +51,17 @@ def _flip(n: int) -> Mat:
 
 def flip_operator(n: int) -> BraidOperator:
     return BraidOperator(n, _flip(n))
+
+
+def _swap_legs(m: Mat, n: int, legs: int) -> Mat:
+    """P m P for P the swap of tensor legs 2 and 3 of V^{(x) legs}, dim V = n,
+    by relabelling rows and columns; no product is computed."""
+    r, rest = range(n), range(n ** (legs - 3))
+    perm = [((a * n + c) * n + b) * len(rest) + d for a in r for b in r for c in r for d in rest]
+    out = Mat(m.nrows, m.ncols)
+    for i, row in enumerate(m.rows):
+        out.rows[perm[i]] = {perm[j]: v for j, v in row.items()}
+    return out
 
 
 def _unit(n: int, i: int, j: int) -> Mat:
@@ -124,8 +140,7 @@ def schouten(r: RMatrixElement) -> Mat:
     eye = Mat.identity(r.dim)
     r12 = r.mat.kron(eye)
     r23 = eye.kron(r.mat)
-    p23 = eye.kron(_flip(r.dim))
-    r13 = p23 * r12 * p23
+    r13 = _swap_legs(r12, r.dim, 3)
     def comm(x, y):
         return x * y - y * x
     return comm(r12, r13) + comm(r12, r23) + comm(r13, r23)
@@ -148,60 +163,29 @@ def is_modified(r: RMatrixElement, rep: MatrixRep) -> bool:
 
 
 def sklyanin_from_r(n: int):
-    """Table of [kappa R, L (x) L] matched against the quadratic bracket.
+    """(table of kappa [R, L (x) L] on Fun(Mat(n)), kappa), kappa read at the
+    first entry against the quadratic bracket.
 
-    Returns (PoissonStructure, kappa).  Raises NormalizationError if no
-    single kappa reproduces the reference table.
+    The table is ``rmatrix_bracket`` of T = P (R^T (x) 1 - 1 (x) R) P, P the
+    leg swap of ``s_w``.  Raises NormalizationError if it is zero or if the
+    commutator is not antisymmetric: (1 + F) T (1 + F) != 0, F = flip of W (x) W.
     """
-    gens, a = matrix_coordinates(n, 2)
-    r = canonical_r(n)
+    r = canonical_r(n).mat
     size = n * n
-    pairs = list(product(range(n), repeat=2))
-    # L (x) L with commuting symbolic entries: entry ((i,k),(j,l)) = a_i^j a_k^l
-    ll = [[a[i * n + j] * a[k * n + l] for j, l in pairs] for i, k in pairs]
-    zero = Poly.zero(gens)
-    comm = [[zero] * size for _ in range(size)]
-    # C = R (L x L) - (L x L) R, exploiting R's sparsity
-    for rr, row in enumerate(r.mat.rows):
-        for cc, v in row.items():
-            for j in range(size):
-                comm[rr][j] = comm[rr][j] + v * ll[cc][j]
-            for i in range(size):
-                comm[i][cc] = comm[i][cc] - ll[i][rr] * v
-    reference = sd_quadratic(n)
-    kappa = None
-    table = {}
-    for (i, k), (j, l) in product(pairs, repeat=2):
-        u, v = i * n + j, k * n + l
-        got = comm[i * n + k][j * n + l]
-        want = reference.entry(u, v)
-        if not got:
-            if want:
-                raise NormalizationError(f"zero entry where reference has {want}")
-            continue
-        ratio = _poly_ratio(want, got)
-        if ratio is None:
-            raise NormalizationError(
-                f"entry ({gens[u]},{gens[v]}) is not proportional to the reference"
-            )
-        if kappa is None:
-            kappa = ratio
-        elif kappa != ratio:
-            raise NormalizationError(f"inconsistent normalization: {kappa} vs {ratio}")
-        if u < v:
-            table[(u, v)] = got * kappa
-    if kappa is None:
+    eye = Mat.identity(size)
+    t = _swap_legs(r.transpose().kron(eye) - eye.kron(r), n, 4)
+    sym = Mat.identity(size * size) + _flip(size)
+    if not (sym * t * sym).is_zero():
+        raise NormalizationError("commutator table is not antisymmetric")
+    table = rmatrix_bracket(RMatrixElement(size, t)).table
+    if not table:
         raise NormalizationError("commutator table is identically zero")
-    return PoissonStructure(gens, table), kappa
-
-
-def _poly_ratio(want: Poly, got: Poly):
-    """The constant c with want = c * got, or None."""
-    if got.is_zero():
-        return None
+    key, got = next(iter(table.items()))
     monom, coeff = next(iter(got.terms.items()))
-    c = want.terms.get(monom, Scalar(0)) / coeff
-    return c if want == got * c else None
+    kappa = sd_quadratic(n).entry(*key).terms.get(monom, ZERO) / coeff
+    gens = matrix_generators(n)
+    scaled = {k: Poly(gens, (p * kappa).terms) for k, p in table.items()}
+    return PoissonStructure(gens, scaled), kappa
 
 
 def hecke_s(n: int) -> BraidOperator:
@@ -246,13 +230,7 @@ def s_w(s: BraidOperator) -> BraidOperator:
     except DimensionMismatch:
         raise DimensionMismatch("braid operator is singular") from None
     # S (x) S^-T is indexed by the legs (m, n, p, q); W (x) W by (m, p, n, q)
-    N = n * n
-    r = range(n)
-    legs = [(a * n + c) * N + b * n + d for a in r for b in r for c in r for d in r]
-    out = Mat(N * N, N * N)
-    for i, row in enumerate(s.mat.kron(sinv.transpose()).rows):
-        out.rows[legs[i]] = {legs[j]: v for j, v in row.items()}
-    return BraidOperator(N, out)
+    return BraidOperator(n * n, _swap_legs(s.mat.kron(sinv.transpose()), n, 4))
 
 
 def eigen_split(sw: BraidOperator):

@@ -268,6 +268,8 @@ def from_data(data):
     raw_gens = _expect(root, "generators", list, "$")
     if not all(isinstance(g, str) for g in raw_gens):
         raise FormatError("$.generators", "generator names must be strings")
+    if len(set(raw_gens)) < len(raw_gens):
+        raise FormatError("$.generators", "generator names must be distinct")
     generators = tuple(raw_gens)
     payload = _expect(root, "payload", dict, "$")
     path = "$.payload"

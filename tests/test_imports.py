@@ -8,7 +8,8 @@ module reads a RatFunc's ``numer`` or ``denom``, or reads or writes a
 Fraction's slots ``_numerator`` and ``_denominator``; within ``ratfunc``, only
 ``_fraction`` writes them.  A RatFunc has no ``+ - * /`` or unary ``-``: the
 field's arithmetic is ``ratfunc``'s five operations, one dispatch on the kind
-of operand.
+of operand.  Every module but ``__init__``, which re-exports, reads each name
+that its top-level imports bind.
 """
 
 import ast
@@ -106,3 +107,25 @@ def test_ratfunc_defines_no_arithmetic_operator():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
     assert sorted(defined.intersection(_OPERATORS)) == []
     assert "__pow__" in defined
+
+
+def _unread_imports(tree):
+    """The names bound by the module's top-level imports that it never reads."""
+    bound = {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in bound if name not in read)
+
+
+_NOT_INIT = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", _NOT_INIT)
+def test_module_reads_every_import(module):
+    assert _unread_imports(_tree(module)) == []

@@ -134,8 +134,9 @@ def test_linearization():
 @pytest.mark.parametrize("c", [LAM, 1 / LAM, Q / (LAM + 1)], ids=["lam", "1/lam", "q/(lam + 1)"])
 def test_linearization_refuses_lam_coefficients(c):
     # the derivative gives the lam-linear term only for lam-free coefficients
+    sd = sd_quadratic(2)
     with pytest.raises(ValueError, match="free of lam"):
-        lambda_linear_term(sd_quadratic(2).scale(c), 2)
+        lambda_linear_term(pencil(sd, sd, c, 0), 2)
 
 
 def test_double_lie_identity():

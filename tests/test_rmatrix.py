@@ -2,10 +2,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rpencil import rmatrix
 from rpencil.linalg import DimensionMismatch, Mat, SubspaceBasis, intersect, rref
 from rpencil.poisson import sd_quadratic
 from rpencil.rmatrix import (
     BraidOperator,
+    NormalizationError,
+    RMatrixElement,
+    _swap_legs,
     canonical_r,
     canonical_r_sp,
     eigen_split,
@@ -102,10 +106,64 @@ def test_fundamental_basis_is_independent(rep, dim):
 
 
 def test_sklyanin_single_kappa():
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         table, kappa = sklyanin_from_r(n)
         assert table == sd_quadratic(n)
         assert kappa == 1
+
+
+def _patch_r(monkeypatch, change):
+    canonical = rmatrix.canonical_r
+    monkeypatch.setattr(rmatrix, "canonical_r",
+                        lambda n: RMatrixElement(n, change(canonical(n).mat)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sklyanin_rejects_symmetric_part(monkeypatch, n):
+    # E_11 (x) E_11 is flip-symmetric, so [R, L (x) L] is no longer antisymmetric
+    e11 = Mat(n * n, n * n)
+    e11.set(0, 0, ONE)
+    _patch_r(monkeypatch, lambda m: m + e11)
+    with pytest.raises(NormalizationError):
+        sklyanin_from_r(n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sklyanin_kappa_undoes_scaling(monkeypatch, n):
+    _patch_r(monkeypatch, lambda m: m * 3)
+    table, kappa = sklyanin_from_r(n)
+    assert kappa == Scalar(1) / 3
+    assert table == sd_quadratic(n)
+
+
+def _swap_by_product(r12: Mat, n: int) -> Mat:
+    """P23 r12 P23 on V (x) V (x) V, with P23 = 1 (x) flip as a matrix."""
+    p23 = Mat.identity(n).kron(flip_operator(n).mat)
+    return p23 * r12 * p23
+
+
+def _swap_by_legs(m: Mat, n: int) -> Mat:
+    """m on V^(x)4 with its legs (a, b, c, d) relabelled as (a, c, b, d)."""
+    N = n * n
+    r = range(n)
+    legs = [(a * n + c) * N + b * n + d for a in r for b in r for c in r for d in r]
+    out = Mat(N * N, N * N)
+    for i, row in enumerate(m.rows):
+        out.rows[legs[i]] = {legs[j]: v for j, v in row.items()}
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_swap_legs_matches_product_on_three_legs(n):
+    r12 = canonical_r(n).mat.kron(Mat.identity(n))
+    assert _swap_legs(r12, n, 3) == _swap_by_product(r12, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_swap_legs_matches_relabel_on_four_legs(n):
+    s = hecke_s(n).mat
+    m = s.kron(s.inverse().transpose())
+    assert _swap_legs(m, n, 4) == _swap_by_legs(m, n)
 
 
 def test_hecke_s_reference_matrix():

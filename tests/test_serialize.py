@@ -125,6 +125,17 @@ def test_quadratic_flag_must_match_relations(obj, flag):
     assert err.value.path == "$.payload.flag"
 
 
+@pytest.mark.parametrize("obj", [a0q(2), sd_quadratic(2), type2_bracket(2)],
+                         ids=["quadratic", "poisson", "glie"])
+def test_repeated_generator_names_rejected(obj):
+    # with two generators named "a", two different words would print alike
+    data = json.loads(serialize.dumps(obj))
+    data["generators"][1] = data["generators"][0]
+    with pytest.raises(FormatError, match="generator names must be distinct") as err:
+        serialize.from_data(data)
+    assert err.value.path == "$.generators"
+
+
 def test_repeated_terms_are_summed():
     data = serialize.to_data(a0q(2))
     data["payload"]["relations"][0] += [[[0, 1], "2"], [[1, 0], "q"]]
