@@ -19,10 +19,15 @@ once each, by ``max``, in descending deglex order, and a word found
 irreducible is final.
 
 Invariant of ``complete``: every rule tail is irreducible with respect to
-the current leading words.  Adding a rule with leading word ``lw`` can only
-make a tail reducible where one of its words contains ``lw``, so only those
-tails are re-reduced.  ``complete`` keeps, for every rule, the set of
-subwords of its tail words, and looks ``lw`` up there.
+the current leading words.  A new leading word ``lw`` can only make a tail
+reducible where one of its words contains ``lw``.  Such a word is at least
+``lw`` in deglex, and a tail word is smaller than its rule's leading word,
+so only the tails of rules above ``lw`` are searched.
+
+``complete`` walks the rules twice per new rule: it re-queues those whose
+leading words contain ``lw``, then in rule order re-reduces each tail that
+needs it and pushes the rule's S-elements with the new rule.  Those read only
+its final tail and the new rule, so no push depends on a later re-reduction.
 
 Overlaps: a proper overlap of ``w1`` with ``w2`` (a suffix of ``w1`` equal
 to a prefix of ``w2``) needs ``w2[0]`` in ``w1[1:]`` and ``w1[-1]`` in
@@ -73,21 +78,16 @@ class NcIdeal:
         self._counts = []  # word length -> number of irreducible words
 
 
-def _lengths(rules) -> list:
-    """Distinct leading-word lengths, longest first (the redex search order)."""
-    return sorted({len(w) for w in rules}, reverse=True)
-
-
 def _tail(g: FreeElement, lw) -> tuple:
     """The pairs ``(word, -coeff)`` of the monic rule g's words other than lw."""
     return tuple((w, -c) for w, c in g.terms.items() if w != lw)
 
 
-def _reduce(f: FreeElement, tails: dict, lengths: list) -> FreeElement:
+def _reduce(f: FreeElement, tails: dict) -> FreeElement:
     """Normal form of f with respect to the rules (deterministic strategy).
 
-    ``tails`` maps each leading word to its rule's tail and ``lengths`` is
-    ``_lengths(tails)``.  The result's words are in descending deglex order.
+    ``tails`` maps each leading word to its rule's tail.  The result's words
+    are in descending deglex order.
     """
     work = {(len(w), w): c for w, c in f.terms.items()}
     out = {}
@@ -95,7 +95,7 @@ def _reduce(f: FreeElement, tails: dict, lengths: list) -> FreeElement:
         key = max(work)
         c = work.pop(key)
         w = key[1]
-        hit = _find_redex(w, tails, lengths)
+        hit = _find_redex(w, tails)
         if hit is None:
             out[w] = c
             continue
@@ -116,12 +116,12 @@ def _reduce(f: FreeElement, tails: dict, lengths: list) -> FreeElement:
     return FreeElement._raw(f.generators, out)
 
 
-def _find_redex(word, rules, lengths):
-    for pos in range(len(word)):
-        for length in lengths:
-            if pos + length > len(word):
-                continue
-            sub = word[pos:pos + length]
+def _find_redex(word, rules):
+    """The leftmost leading word in word, the longest among those starting there."""
+    n = len(word)
+    for pos in range(n):
+        for end in range(n, pos, -1):
+            sub = word[pos:end]
             if sub in rules:
                 return pos, sub
     return None
@@ -160,11 +160,9 @@ def complete(relations, degree_bound: int) -> NcIdeal:
 
     for r in relations:
         push(r)
-    lengths: list = []
     tails: dict = {}  # leading word -> _tail of its rule
-    inner: dict = {}  # leading word -> subwords of the rule's tail words
     while queue:
-        f = _reduce(heapq.heappop(queue)[2], tails, lengths)
+        f = _reduce(heapq.heappop(queue)[2], tails)
         if not f:
             continue
         f = f.monic()
@@ -175,41 +173,28 @@ def complete(relations, degree_bound: int) -> NcIdeal:
         # lw is irreducible, so no key equals it
         for old in [w for w in rules if len(w) > len(lw) and _contains(w, lw)]:
             push(rules.pop(old))
-            del tails[old], inner[old]
+            del tails[old]
         # lw goes last in the order
         rules[lw] = f
         tails[lw] = _tail(f, lw)
-        inner[lw] = _subwords(f, lw)
-        lengths = _lengths(rules)
-        # re-reduce the tails that the new leading word makes reducible
-        for w, g in list(rules.items()):
-            if lw in inner[w]:
-                head = FreeElement.word(generators, w)
-                rules[w] = g = head + _reduce(g - head, tails, lengths)
-                tails[w] = _tail(g, w)
-                inner[w] = _subwords(g, w)
-        # resolve overlaps involving the new rule, degree-bounded
+        n = len(lw)
         lw_later = set(lw[1:])  # letters that can start a word lw overlaps
         lw_earlier = set(lw[:-1])  # letters that can end a word overlapping lw
-        for other_lw, other in list(rules.items()):
-            if other_lw[0] in lw_later:
-                for s_elem in _overlap_elements(lw, f, other_lw, tails[other_lw], degree_bound):
+        for w, g in rules.items():
+            # only a rule above lw in deglex can have a tail word containing lw
+            above = w > lw if len(w) == n else len(w) > n
+            if above and any(_contains(tw, lw) for tw, _ in tails[w]):
+                head = FreeElement.word(generators, w)
+                rules[w] = g = head + _reduce(g - head, tails)
+                tails[w] = _tail(g, w)
+            # resolve overlaps with the new rule, degree-bounded
+            if w[0] in lw_later:
+                for s_elem in _overlap_elements(lw, f, w, tails[w], degree_bound):
                     push(s_elem)
-            if other_lw != lw and other_lw[-1] in lw_earlier:
-                for s_elem in _overlap_elements(other_lw, other, lw, tails[lw], degree_bound):
+            if w != lw and w[-1] in lw_earlier:
+                for s_elem in _overlap_elements(w, g, lw, tails[lw], degree_bound):
                     push(s_elem)
     return NcIdeal(generators, degree_bound, quadratic_flag(relations), rules, tails)
-
-
-def _subwords(g: FreeElement, lw) -> set:
-    """Every subword of the words of g other than its leading word lw."""
-    return {
-        w[i:j]
-        for w in g.terms
-        if w != lw
-        for i in range(len(w))
-        for j in range(i + 1, len(w) + 1)
-    }
 
 
 def _contains(word, sub):
@@ -262,7 +247,7 @@ def normal_form(ideal: NcIdeal, f: FreeElement) -> FreeElement:
             f"degree {f.degree()} exceeds completion bound {ideal.degree_bound}; "
             "recomplete with a larger bound"
         )
-    return _reduce(f, ideal.tails, _lengths(ideal.tails))
+    return _reduce(f, ideal.tails)
 
 
 def _live_successors(words, letters: int) -> list:

@@ -136,9 +136,6 @@ class Mat:
             and all(a == b for a, b in zip(self.rows, other.rows))
         )
 
-    def __hash__(self):
-        return hash((self.shape, tuple(tuple(sorted(r.items())) for r in self.rows)))
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)
@@ -254,9 +251,6 @@ class SubspaceBasis:
         if not isinstance(other, SubspaceBasis):
             return NotImplemented
         return self.ambient_dim == other.ambient_dim and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.ambient_dim, tuple(tuple(sorted(r.items())) for r in self.rows)))
 
     def __repr__(self):
         return f"SubspaceBasis(dim={self.dim}, ambient={self.ambient_dim})"

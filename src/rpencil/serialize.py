@@ -5,8 +5,10 @@ non-canonical spellings, so serialization round-trips are exact and files
 are byte-stable.  Index keys ("3", "0,2") are canonical too: each part must
 equal ``str(int(part))``, so " 0", "+0", "00" and "٠" are rejected and one
 entry has one spelling.  Likewise a quadratic file's flag must be the one
-its relations determine.  Schema violations raise FormatError carrying the
-path of the offending field.
+its relations determine.  A file holds only the fields its kind defines:
+an unknown field, or generators on a ``braid`` or ``rmatrix`` file, is
+rejected rather than dropped.  Schema violations raise FormatError carrying
+the path of the offending field.
 
 A file repeats a few distinct scalars many times.  Each call of
 ``from_data`` keeps a ``{text: Scalar}`` dict, so it parses each distinct
@@ -35,6 +37,9 @@ KINDS = ("poisson", "braid", "rmatrix", "quadratic", "glie")
 
 # rows a matrix may declare beyond the entries its file lists
 MAX_SPARSE_ROWS = 10_000
+
+_PAYLOAD_FIELDS = {"poisson": ("table",), "braid": ("dim", "matrix"), "rmatrix": ("dim", "matrix"),
+                   "quadratic": ("flag", "relations"), "glie": ("i_plus", "i_minus", "matrix")}
 
 
 class FormatError(Exception):
@@ -96,6 +101,7 @@ def _mat_in(data, path: str, shape: tuple, scalars: dict, invertible: bool = Fal
     """
     nrows = _expect_int(data, "nrows", path)
     ncols = _expect_int(data, "ncols", path)
+    _only_fields(data, ("nrows", "ncols", "entries"), path)
     if (nrows, ncols) != shape:
         raise FormatError(path, f"expected shape {shape}, got {(nrows, ncols)}")
     entries = _expect(data, "entries", dict, path)
@@ -133,6 +139,7 @@ def _basis_out(s: SubspaceBasis, texts: dict) -> dict:
 
 def _basis_in(data, path: str, scalars: dict) -> SubspaceBasis:
     ambient = _expect_int(data, "ambient_dim", path)
+    _only_fields(data, ("ambient_dim", "rows"), path)
     rows = _expect(data, "rows", list, path)
     return SubspaceBasis(
         ambient,
@@ -200,6 +207,11 @@ def _expect(data, key, typ, path):
         raise FormatError(f"{path}.{key}", f"expected {typ.__name__}")
     return value
 
+def _only_fields(data: dict, fields: tuple, path: str) -> None:
+    for key in data:
+        if key not in fields:
+            raise FormatError(f"{path}.{key}", "unknown field")
+
 def _expect_int(data, key, path):
     return _expect(data, key, int, path)
 
@@ -259,6 +271,7 @@ def to_data(obj) -> dict:
 def from_data(data):
     """Rebuild an object from its JSON dictionary, validating the schema."""
     root = _expect_dict(data, "$")
+    _only_fields(root, ("schema", "kind", "generators", "payload"), "$")
     version = _expect_int(root, "schema", "$")
     if version != SCHEMA_VERSION:
         raise FormatError("$.schema", f"unsupported schema version {version}")
@@ -273,6 +286,7 @@ def from_data(data):
     generators = tuple(raw_gens)
     payload = _expect(root, "payload", dict, "$")
     path = "$.payload"
+    _only_fields(payload, _PAYLOAD_FIELDS[kind], path)
     scalars: dict = {}  # text -> its parsed Scalar, for this call only
 
     if kind == "poisson":
@@ -287,6 +301,8 @@ def from_data(data):
         return PoissonStructure(generators, table)
 
     if kind in ("braid", "rmatrix"):
+        if generators:
+            raise FormatError("$.generators", f"a {kind} file has no generators")
         dim = _expect_int(payload, "dim", path)
         if dim < 1:
             raise FormatError(f"{path}.dim", "must be at least 1")

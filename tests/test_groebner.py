@@ -14,7 +14,7 @@ from rpencil.groebner import (
     IdealCollapse,
     NcIdeal,
     _contains,
-    _lengths,
+    _find_redex,
     _overlap_elements,
     _reduce,
     _word_count,
@@ -162,6 +162,16 @@ def _reference_find_redex(word, rules, lengths):
     return None
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple), max_size=8),
+       st.lists(st.integers(0, 2), max_size=6).map(tuple))
+def test_find_redex_matches_reference(leading, word):
+    # leading words of mixed lengths: every workload's are of length 2 alone
+    rules = dict.fromkeys(leading)
+    lengths = sorted({len(w) for w in leading}, reverse=True)
+    assert _find_redex(word, rules) == _reference_find_redex(word, rules, lengths)
+
+
 @lru_cache(maxsize=None)
 def _rule_systems():
     return (
@@ -182,7 +192,7 @@ _WORDS = st.lists(st.integers(0, len(GENS4) - 1), max_size=3).map(tuple)
 def test_reduce_matches_reference(terms, which):
     ideal = _rule_systems()[which]
     f = FreeElement(GENS4, terms)
-    out = _reduce(f, ideal.tails, _lengths(ideal.tails))
+    out = _reduce(f, ideal.tails)
     assert out == _reference_reduce(f, ideal.rules)
     # f itself when nothing reduces, else the words in descending deglex order
     assert out is f or list(out.terms) == sorted(out.terms, key=deglex_key, reverse=True)
@@ -248,9 +258,8 @@ def test_rewriting_never_negates(monkeypatch):
 
     monkeypatch.setattr(Scalar, "__neg__", refuse)
     monkeypatch.setattr(Scalar, "__sub__", refuse)
-    lengths = _lengths(tails)
     for w, ref in zip(words, reduced):
-        assert _reduce(FreeElement.word(gens, w), tails, lengths) == ref
+        assert _reduce(FreeElement.word(gens, w), tails) == ref
     for (w1, w2), ref in zip(pairs, overlaps):
         new = _overlap_elements(w1, rules[w1], w2, tails[w2], 4)
         assert [list(s.terms.items()) for s in new] == [list(s.terms.items()) for s in ref]
@@ -352,8 +361,8 @@ def test_tail_reduction_is_exercised():
 
 
 def test_subword_sets_follow_tail_reduction():
-    # re-reduces one rule tail twice: after the first re-reduction the rule's
-    # subword set must be rebuilt, or the second one is missed
+    # re-reduces one rule tail twice: the second search for a new leading
+    # word must read the tail the first re-reduction left, not the old one
     gens = ("a", "b", "c", "d")
     a, b, c, d = (FreeElement.generator(gens, g) for g in gens)
     one = FreeElement.constant(gens, 1)

@@ -9,7 +9,9 @@ Fraction's slots ``_numerator`` and ``_denominator``; within ``ratfunc``, only
 ``_fraction`` writes them.  A RatFunc has no ``+ - * /`` or unary ``-``: the
 field's arithmetic is ``ratfunc``'s five operations, one dispatch on the kind
 of operand.  Every module but ``__init__``, which re-exports, reads each name
-that its top-level imports bind.
+that its top-level imports bind.  Every private module-level function is
+named in ``src`` outside its own body, so no helper stays there for the
+tests alone.
 """
 
 import ast
@@ -129,3 +131,33 @@ _NOT_INIT = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 @pytest.mark.parametrize("module", _NOT_INIT)
 def test_module_reads_every_import(module):
     assert _unread_imports(_tree(module)) == []
+
+
+def _named(tree, name, skip):
+    """Whether tree names name, as a variable or an attribute, outside the
+    node skip."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name):
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def _uncalled_private_functions(module):
+    trees = {p.stem: _tree(p.stem) for p in SRC.glob("*.py")}
+    return [
+        fn.name
+        for fn in trees[module].body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _private(fn.name)
+        and not any(_named(tree, fn.name, fn) for tree in trees.values())
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_private_function_has_a_caller(module):
+    assert _uncalled_private_functions(module) == []

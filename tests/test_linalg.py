@@ -97,6 +97,15 @@ def test_subspace_canonical_equality():
     assert s1.dim == 2
 
 
+def test_mutable_objects_are_unhashable():
+    # Mat.set and Mat.add_to write rows in place, so a hash taken before
+    # a write would file the matrix under a stale value
+    m = dense([[1, 0], [0, 1]])
+    for obj in (m, SubspaceBasis(m.ncols, m.rows)):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
+
+
 def test_intersect():
     a = SubspaceBasis(3, [{0: ONE}, {1: ONE}])
     b = SubspaceBasis(3, [{1: ONE}, {2: ONE}])

@@ -136,6 +136,42 @@ def test_repeated_generator_names_rejected(obj):
     assert err.value.path == "$.generators"
 
 
+@pytest.mark.parametrize("obj", [s_w(hecke_s(2)), canonical_r(2)], ids=["braid", "rmatrix"])
+def test_operator_file_has_no_generators(obj):
+    # an operator acts on V (x) V, whose basis has no names: generator names
+    # would be read by nothing and dropped by the next dump
+    data = serialize.to_data(obj)
+    data["generators"] = ["a", "b"]
+    with pytest.raises(FormatError, match="has no generators") as err:
+        serialize.from_data(data)
+    assert err.value.path == "$.generators"
+
+
+@pytest.mark.parametrize("obj,where", [
+    (sd_quadratic(2), ()),
+    (sd_quadratic(2), ("payload",)),
+    (s_w(hecke_s(2)), ("payload",)),
+    (s_w(hecke_s(2)), ("payload", "matrix")),
+    (canonical_r(2), ("payload",)),
+    (a0q(2), ("payload",)),
+    (type2_bracket(2), ("payload",)),
+    (type2_bracket(2), ("payload", "i_plus")),
+    (type2_bracket(2), ("payload", "i_minus")),
+    (type2_bracket(2), ("payload", "matrix")),
+], ids=["root", "poisson", "braid", "matrix", "rmatrix", "quadratic", "glie",
+        "i_plus", "i_minus", "glie-matrix"])
+def test_unknown_field_is_rejected(obj, where):
+    # a field the program never reads must not load and vanish on the next dump
+    data = serialize.to_data(obj)
+    node = data
+    for key in where:
+        node = node[key]
+    node["note"] = "ignored"
+    with pytest.raises(FormatError, match="unknown field") as err:
+        serialize.loads(json.dumps(data))
+    assert err.value.path == ".".join(("$",) + where + ("note",))
+
+
 def test_repeated_terms_are_summed():
     data = serialize.to_data(a0q(2))
     data["payload"]["relations"][0] += [[[0, 1], "2"], [[1, 0], "q"]]
