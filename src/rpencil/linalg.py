@@ -1,9 +1,10 @@
 """Exact linear algebra over the Scalar field.
 
 Matrices are stored sparsely (one dict per row); subspaces are kept as
-reduced row-echelon bases, which makes equality of subspaces equality of
-representations.  All elimination goes through ``_reduce_row``: basis rows
-are reduced, so one pass over a row's pivot columns suffices.
+reduced row-echelon bases, so equal subspaces have equal representations.
+All elimination goes through ``_reduce_row``.  ``rref`` keeps a column ->
+pivots index and back-substitutes a new pivot only into the rows it names,
+and ``kernel`` reads the reduced rows once.
 """
 
 from __future__ import annotations
@@ -185,6 +186,7 @@ def rref(rows, ncols):
     have pivot entry 1 and zeros above and below each pivot.
     """
     basis: dict = {}  # pivot column -> reduced row
+    holders: dict = {}  # column -> pivots whose row may be nonzero there
     for row in rows:
         row = _reduce_row(row, basis)
         if row:
@@ -193,9 +195,12 @@ def rref(rows, ncols):
                 inv = 1 / row[piv]
                 row = {j: v * inv for j, v in row.items()}
             new = {piv: row}
-            for p, other in basis.items():
-                if piv in other:
-                    basis[p] = _reduce_row(other, new)
+            held = holders.pop(piv, ())
+            for p in held:
+                basis[p] = _reduce_row(basis[p], new)
+            for j in row:
+                if j != piv:
+                    holders.setdefault(j, set()).update(held, (piv,))
             basis[piv] = row
     pivots = sorted(basis)
     return [basis[p] for p in pivots], pivots
@@ -260,16 +265,12 @@ def kernel(m: Mat) -> SubspaceBasis:
     """Right kernel {x : m x = 0} as a canonical basis."""
     rows, pivots = rref(m.rows, m.ncols)
     pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    basis_rows = []
-    for f in free:
-        vec = {f: ONE}
-        for piv, row in zip(pivots, rows):
-            c = row.get(f)
-            if c is not None:
-                vec[piv] = -c
-        basis_rows.append(vec)
-    return SubspaceBasis(m.ncols, basis_rows)
+    vecs = {f: {f: ONE} for f in range(m.ncols) if f not in pivot_set}
+    for piv, row in zip(pivots, rows):
+        for f, c in row.items():
+            if f != piv:
+                vecs[f][piv] = -c
+    return SubspaceBasis(m.ncols, list(vecs.values()))
 
 
 def image(m: Mat) -> SubspaceBasis:
@@ -338,5 +339,4 @@ def rank_modulo_reaches(rows, b: SubspaceBasis, target: int) -> bool:
 
 def annihilator(s: SubspaceBasis) -> SubspaceBasis:
     """Functionals vanishing on s (w.r.t. the standard pairing)."""
-    m = Mat(len(s.rows), s.ambient_dim, [dict(r) for r in s.rows])
-    return kernel(m)
+    return kernel(Mat(len(s.rows), s.ambient_dim, s.rows))

@@ -103,7 +103,7 @@ class Scalar:
         s = Scalar.parse(text)
         if str(s) != text:
             raise ScalarError(
-                f"non-canonical scalar string {text!r} (canonical form is {str(s)!r})"
+                f"non-canonical scalar string {_echo(text)} (canonical form is {_echo(str(s))})"
             )
         return s
 
@@ -223,6 +223,7 @@ _MAX_EXPONENT = 100
 #: than this, nor may either one's prod_v (deg_v + 1) times the bit length of
 #: its largest coefficient exceed it
 _MAX_WORK = 10_000
+_ECHO = 60  # characters of a scalar or term that an error message repeats
 
 _SIGN = re.compile(r"\s*([-+])\s*")
 _FACTOR = r"(q|h|lam)(?:\*\*(\d+))?"
@@ -231,8 +232,15 @@ _FACTORS = re.compile(_FACTOR)
 _INDEX = {name: i for i, name in enumerate(PARAMETERS)}
 
 
+def _echo(text: str) -> str:
+    """repr of text for an error message: cut to _ECHO characters, with its length."""
+    if len(text) <= _ECHO:
+        return repr(text)
+    return f"{text[:_ECHO]!r}... ({len(text)} characters)"
+
+
 def _fail(text: str, reason: str):
-    raise ScalarError(f"cannot parse scalar {text!r}: {reason}")
+    raise ScalarError(f"cannot parse scalar {_echo(text)}: {reason}")
 
 
 def _read_poly(text: str, part: str):
@@ -250,7 +258,7 @@ def _read_poly(text: str, part: str):
     for sign, term in zip(pieces[::2], pieces[1::2]):
         m = _TERM.match(term)
         if m is None:
-            _fail(text, f"cannot read term {term!r}")
+            _fail(text, f"cannot read term {_echo(term)}")
         try:
             coeff = int(m[1] or 1)
         except ValueError:

@@ -146,6 +146,13 @@ def test_parse_unreadable_file_exits_2(tmp_path, capsys, content, reason):
             ("((q+h+lam+1)**20)**3", "cannot read term '((q'"),
             ("((q+h+lam+1)**22*(q+h+lam+5))/((q+h+lam+2)**22*(q+h+lam+3))", "cannot read term '(q'"),
         ]
+    ]
+    + [
+        # the message repeats only the first characters of the scalar and its length
+        pytest.param("1" * 100_000, "integer literal too long", id="100000-digits"),
+        pytest.param(
+            "(" + "+".join(["q"] * 20_000) + ")", "canonical form is '20000*q')", id="20000-terms"
+        ),
     ],
 )
 def test_parse_oversized_scalar_exits_2(tmp_path, capsys, text, reason):
@@ -157,7 +164,7 @@ def test_parse_oversized_scalar_exits_2(tmp_path, capsys, text, reason):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1
+    assert len(lines) == 1 and len(lines[0].encode()) < 300
     assert lines[0].startswith("error: $.payload.matrix.entries[1,2]: ")
     assert lines[0].endswith(reason)
 

@@ -217,6 +217,45 @@ def test_rref_matches_dense_reference(system):
     assert space.contains(vec) == (not residual)
 
 
+def test_rref_back_substitutes_into_filled_in_columns():
+    # eliminating pivot 2 gives the first two rows a 3 they did not have,
+    # and column 3 is the next pivot: an index of the input columns alone
+    # would leave those entries standing
+    rows = [{0: ONE, 2: ONE}, {1: ONE, 2: ONE}, {2: ONE, 3: ONE}, {3: ONE}]
+    reduced, pivots = _reference_rref(rows, 4)
+    assert pivots == [0, 1, 2, 3] and reduced == [{j: ONE} for j in range(4)]
+    assert rref(rows, 4) == (reduced, pivots)
+
+
+def _reference_kernel(m):
+    """One kernel vector per free column f: e_f minus f's entry in each pivot row."""
+    rows, pivots = rref(m.rows, m.ncols)
+    vecs = []
+    for f in range(m.ncols):
+        if f not in pivots:
+            vec = {f: ONE}
+            for piv, row in zip(pivots, rows):
+                if f in row:
+                    vec[piv] = -row[f]
+            vecs.append(vec)
+    return vecs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_system())
+def test_kernel_and_annihilator_match_reference(system):
+    rows, _, ncols = system
+    before = [dict(row) for row in rows]
+    m = Mat(len(rows), ncols, rows)
+    assert kernel(m).rows == SubspaceBasis(ncols, _reference_kernel(m)).rows
+    space = SubspaceBasis(ncols, rows)
+    space_rows = [dict(row) for row in space.rows]
+    ann = annihilator(space)
+    assert ann.rows == SubspaceBasis(ncols, _reference_kernel(Mat(space.dim, ncols, space_rows))).rows
+    # rref, kernel and annihilator read their input rows and never write them
+    assert rows == before and space.rows == space_rows
+
+
 @st.composite
 def _subspace_pair(draw):
     # row counts that add up to d, or one more, so that both answers occur;

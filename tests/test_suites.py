@@ -183,6 +183,7 @@ _REPORT_SHA256 = {
     ("quantum-type2", 4, "fast"): "63e5030641befaed7fd4b80aa964f269d30525483a244cf9a93408ef985db2f7",
     ("quantum-type2", 4, "exact"): "a5e54a000daeefd5b8e89e2aac2d4a9fa49666b3d4093d3076a9eb327638f2c5",
     ("quantum-type2", 5, "fast"): "27c61b347df7aa4ccb19702b4840b54546cef77762216ca110a329793d0c21af",
+    ("quantum-type2", 5, "exact"): "9af37231175235743c18371e5e6034695b9a8623a8030d63821dc6eb05076782",
     ("quantum-type2", 6, "fast"): "a17ab88f5c2a55bbbb4c159c75e6a74a18c5d2660a288755f9e50daba52c2cf3",
     ("glie", 2, "exact"): "2ae7066ac54ad8d4e82c2e072c89ab449a16f9d2c47d32e4396af68f6840c1ca",
     ("glie", 2, "fast"): "5d364b10dc00964615309e99733b8dac1539e5c08eab22bb247c0808dc7bc3d0",
@@ -190,6 +191,8 @@ _REPORT_SHA256 = {
     ("glie", 3, "fast"): "743a9d001ae250e572674c64cc2cdfba7d17fa673e458153c3ec37497dab6dc1",
     ("glie", 4, "fast"): "e90a4c74d0617df1d09d11201e7c04e629dd26bf232f32865437296703b7a03a",
     ("glie", 4, "exact"): "b3ee39411b1ba87a124c99ec3eeb841ea58e4f2fc6292bb9957378a94d15876a",
+    ("glie", 5, "fast"): "848808547c2578a5ef909f38f2e124a157ad3d9d0b2d42af95c4e96683542713",
+    ("glie", 5, "exact"): "363aa719e526754bb9865f3f3883ff16da9e235e2b67ebfa4cb16055f9a5cda0",
 }
 
 
