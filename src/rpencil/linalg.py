@@ -95,19 +95,6 @@ class Mat:
             out.rows[i] = {j: v for j, v in acc.items() if v}
         return out
 
-    def apply(self, vec: dict) -> dict:
-        """Matrix times sparse column vector (dict index -> Scalar)."""
-        out: dict = {}
-        for i, row in enumerate(self.rows):
-            acc = None
-            for j, a in row.items():
-                x = vec.get(j)
-                if x is not None:
-                    acc = a * x if acc is None else acc + a * x
-            if acc:
-                out[i] = acc
-        return out
-
     def transpose(self) -> "Mat":
         out = Mat(self.ncols, self.nrows)
         for i, row in enumerate(self.rows):
@@ -125,6 +112,11 @@ class Mat:
                     for l, b in orow.items():
                         target[base + l] = a * b
         return out
+
+    def legs(self, n: int):
+        """(self (x) 1_n, 1_n (x) self): self on the first or the last tensor leg."""
+        eye = Mat.identity(n)
+        return self.kron(eye), eye.kron(self)
 
     def is_zero(self) -> bool:
         return all(not row for row in self.rows)

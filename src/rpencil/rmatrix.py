@@ -41,16 +41,12 @@ class BraidOperator:
         return BraidOperator(self.dim, self.mat.specialize(assignment))
 
 
-def _flip(n: int) -> Mat:
+def flip_operator(n: int) -> BraidOperator:
     out = Mat(n * n, n * n)
     for i in range(n):
         for j in range(n):
             out.rows[i * n + j][j * n + i] = ONE
-    return out
-
-
-def flip_operator(n: int) -> BraidOperator:
-    return BraidOperator(n, _flip(n))
+    return BraidOperator(n, out)
 
 
 def _swap_legs(m: Mat, n: int, legs: int) -> Mat:
@@ -137,9 +133,7 @@ def sp_fundamental(dim: int) -> MatrixRep:
 
 def schouten(r: RMatrixElement) -> Mat:
     """[[R,R]] = [R12,R13] + [R12,R23] + [R13,R23] on the triple tensor power."""
-    eye = Mat.identity(r.dim)
-    r12 = r.mat.kron(eye)
-    r23 = eye.kron(r.mat)
+    r12, r23 = r.mat.legs(r.dim)
     r13 = _swap_legs(r12, r.dim, 3)
     def comm(x, y):
         return x * y - y * x
@@ -152,11 +146,9 @@ def is_modified(r: RMatrixElement, rep: MatrixRep) -> bool:
         raise DimensionMismatch("representation and r-matrix dimensions differ")
     s = schouten(r)
     n = r.dim
-    eye = Mat.identity(n)
     for x in rep.basis_matrices:
-        total = (
-            x.kron(eye).kron(eye) + eye.kron(x).kron(eye) + eye.kron(eye).kron(x)
-        )
+        first, last = x.legs(n * n)
+        total = first + last + x.legs(n)[1].legs(n)[0]
         if not (s * total - total * s).is_zero():
             return False
     return True
@@ -174,7 +166,7 @@ def sklyanin_from_r(n: int):
     size = n * n
     eye = Mat.identity(size)
     t = _swap_legs(r.transpose().kron(eye) - eye.kron(r), n, 4)
-    sym = Mat.identity(size * size) + _flip(size)
+    sym = Mat.identity(size * size) + flip_operator(size).mat
     if not (sym * t * sym).is_zero():
         raise NormalizationError("commutator table is not antisymmetric")
     table = rmatrix_bracket(RMatrixElement(size, t)).table
@@ -207,10 +199,7 @@ def hecke_s(n: int) -> BraidOperator:
 
 
 def qybe_check(s: BraidOperator) -> bool:
-    n = s.dim
-    eye = Mat.identity(n)
-    s12 = s.mat.kron(eye)
-    s23 = eye.kron(s.mat)
+    s12, s23 = s.mat.legs(s.dim)
     return s12 * s23 * s12 == s23 * s12 * s23
 
 

@@ -29,7 +29,7 @@ from .linalg import Mat, SubspaceBasis
 from .poisson import PoissonStructure
 from .quadratic import QuadraticPresentation
 from .rmatrix import BraidOperator, RMatrixElement
-from .scalars import Scalar, ScalarError
+from .scalars import Scalar, ScalarError, echo
 
 SCHEMA_VERSION = 1
 
@@ -277,7 +277,7 @@ def from_data(data):
         raise FormatError("$.schema", f"unsupported schema version {version}")
     kind = _expect(root, "kind", str, "$")
     if kind not in KINDS:
-        raise FormatError("$.kind", f"unknown kind {kind!r}; expected one of {KINDS}")
+        raise FormatError("$.kind", f"unknown kind {echo(kind)}; expected one of {KINDS}")
     raw_gens = _expect(root, "generators", list, "$")
     if not all(isinstance(g, str) for g in raw_gens):
         raise FormatError("$.generators", "generator names must be strings")
@@ -347,7 +347,7 @@ def _unique_keys(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
-        raise FormatError("$", f"repeated key {key!r}")
+        raise FormatError("$", f"repeated key {echo(key)}")
     return obj
 
 

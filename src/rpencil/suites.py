@@ -243,7 +243,11 @@ def _suite_quantum_type2(n, degree, assign, rng, checks):
         first_failing_degree=pbw["first_failing_degree"],
     )
 
-    shifted = _maybe(_quadratic.lambda_substitute(pres), assign)
+    try:
+        shifted = _maybe(_quadratic.lambda_substitute(pres), assign)
+    except _quadratic.ConsistencyError as exc:
+        checks.add("diagonal-shift", False, error=str(exc))
+        return
     matched = _maybe(filtered.specialize({"h": LAM * (Q - 1)}), assign)
     checks.add("diagonal-shift", _quadratic.same_ideal(shifted, matched, 3))
 
@@ -251,7 +255,11 @@ def _suite_quantum_type2(n, degree, assign, rng, checks):
 def _suite_glie(n, degree, assign, rng, checks):
     target = _maybe(_quadratic.jhq(n), assign)
     _, i_plus = _rmatrix.eigen_split(_rmatrix.s_w(_maybe(_rmatrix.hecke_s(n), assign)))
-    g = _glie.from_presentation(target, i_plus)
+    try:
+        g = _glie.from_presentation(target, i_plus)
+    except _glie.SplittingError as exc:
+        checks.add("splitting", False, error=str(exc))
+        return
     N = n * n
     overlap = g.overlap
     checks.add(
@@ -363,10 +371,9 @@ def _overlap_certified(g) -> bool:
     N dim I - k, and r reaching it proves equality.
     """
     i, overlap = g.i_minus, g.overlap
-    eye = Mat.identity(g.dim)
-    rows = Mat(i.dim, i.ambient_dim, i.rows)
-    left = SubspaceBasis(g.dim * i.ambient_dim, rows.kron(eye).rows)
-    right = SubspaceBasis(g.dim * i.ambient_dim, eye.kron(rows).rows)
+    first, last = Mat(i.dim, i.ambient_dim, i.rows).legs(g.dim)
+    left = SubspaceBasis(g.dim * i.ambient_dim, first.rows)
+    right = SubspaceBasis(g.dim * i.ambient_dim, last.rows)
     return all(
         left.contains(row) and right.contains(row) for row in overlap.rows
     ) and rank_modulo_reaches(right.rows, left, g.dim * i.dim - overlap.dim)

@@ -92,6 +92,33 @@ def test_parse_repeated_key_exits_2(tmp_path, capsys):
     assert captured.err.splitlines() == ["error: $: repeated key 'flag'"]
 
 
+def _long_kind_file():
+    data = serialize.to_data(a0q(2))
+    data["kind"] = "k" * 100_000
+    return json.dumps(data)
+
+
+def _long_repeated_key_file():
+    key = "k" * 100_000
+    return f'{{"{key}": 1, "{key}": 2}}'
+
+
+@pytest.mark.parametrize(
+    "build, prefix",
+    [(_long_kind_file, "error: $.kind: unknown kind 'kkk"),
+     (_long_repeated_key_file, "error: $: repeated key 'kkk")],
+)
+def test_parse_long_text_echo_is_cut(tmp_path, capsys, build, prefix):
+    path = tmp_path / "long.json"
+    path.write_text(build(), encoding="utf-8")
+    assert main(["parse", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and len(lines[0].encode()) < 300
+    assert lines[0].startswith(prefix) and "(100000 characters)" in lines[0]
+
+
 @pytest.mark.parametrize("field", ["generator-index", "exponent"])
 def test_parse_rejects_boolean_integers(tmp_path, capsys, field):
     # JSON true and false load as the Python ints 1 and 0; accepting them

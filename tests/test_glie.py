@@ -68,18 +68,51 @@ def test_type2_bracket_values_n2():
     # the defining relation quadratic parts map to their lower-order terms
     ab = (FreeElement.generator(gens, "a") * FreeElement.generator(gens, "b")
           - Q * (FreeElement.generator(gens, "b") * FreeElement.generator(gens, "a")))
-    value = g.value_element(ab.to_vector(2))
+    (value,) = g.values([ab.to_vector(2)])
     assert value == H * FreeElement.generator(gens, "b")
     ad = (FreeElement.generator(gens, "a") * FreeElement.generator(gens, "d")
           - FreeElement.generator(gens, "d") * FreeElement.generator(gens, "a")
           - (Q - 1 / Q) * (FreeElement.generator(gens, "c") * FreeElement.generator(gens, "b")))
-    assert g.value_element(ad.to_vector(2)).is_zero()
+    assert g.values([ad.to_vector(2)])[0].is_zero()
 
 
 def test_vanishes_on_i_plus():
     g = type2_bracket(2)
-    for row in g.i_plus.rows:
-        assert not g.bracket(row)
+    assert not any(g.values(g.i_plus.rows))
+
+
+def _bracket(g, vec):
+    """The bracket matrix times one tensor-square vector, entry by entry, as
+    {row: value}; row N is the 1-slot."""
+    out = {}
+    for r, row in enumerate(g.matrix.rows):
+        total = sum((v * vec[j] for j, v in row.items() if j in vec), ZERO)
+        if total:
+            out[r] = total
+    return out
+
+
+def _value_reference(g, vec):
+    """The bracket of vec summed term by term into a free-algebra element."""
+    total = FreeElement.zero(g.generators)
+    for r, c in _bracket(g, vec).items():
+        total = total + FreeElement.word(g.generators, (r,) if r < g.dim else (), c)
+    return total
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: type2_bracket(2), lambda: _constant_shifted(type2_bracket(2), 0),
+     lambda: _constant_shifted(classical_glie(2), 3)],
+)
+def test_values_match_entry_sum(build):
+    g = build()
+    NN = g.dim * g.dim
+    vecs = [{k: ONE} for k in range(NN)] + g.i_minus.rows + g.i_plus.rows
+    vecs.append({k: Scalar(k - 5) + Q for k in range(0, NN, 3)})
+    values = g.values(vecs)
+    assert values == [_value_reference(g, v) for v in vecs]
+    assert any(() in v.terms for v in values) == any(g.matrix.rows[g.dim].values())
 
 
 def test_axioms():
@@ -133,7 +166,7 @@ def _reference_axiom7(g):
 def _reference_axiom8(g):
     for pos, w in enumerate(g.overlap.rows):
         quad, lin = _reference_partial_brackets(g, w)
-        total = g.bracket(quad)
+        total = _bracket(g, quad)
         for idx, c in lin.items():
             s = total.get(idx, ZERO) + c
             if s:
@@ -155,7 +188,7 @@ def _constant_shifted(g, k):
     """g with 1 added to the constant slot of relation value k."""
     pairs = []
     for pos, row in enumerate(g.i_minus.rows):
-        value = g.bracket(row)
+        value = _bracket(g, row)
         if pos == k:
             value[g.dim] = value.get(g.dim, ZERO) + ONE
         pairs.append((row, value))
@@ -293,7 +326,7 @@ def test_adjoint_matches_table():
     a = FreeElement.generator(g.generators, "a")
     for name in g.generators:
         y = FreeElement.generator(g.generators, name)
-        assert g.value_element((a * y).to_vector(2)) == table[("a", name)]
+        assert g.values([(a * y).to_vector(2)])[0] == table[("a", name)]
 
 
 def test_enveloping_equals_filtered_algebra():

@@ -11,7 +11,8 @@ field's arithmetic is ``ratfunc``'s five operations, one dispatch on the kind
 of operand.  Every module but ``__init__``, which re-exports, reads each name
 that its top-level imports bind.  Every private module-level function is
 named in ``src`` outside its own body, so no helper stays there for the
-tests alone.
+tests alone; so is every public function and method, outside ``__init__``
+too, except the few listed with their reason.
 """
 
 import ast
@@ -161,3 +162,31 @@ def _uncalled_private_functions(module):
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
 def test_private_function_has_a_caller(module):
     assert _uncalled_private_functions(module) == []
+
+
+# public functions that nothing in src calls, each with its reason
+_UNCALLED_PUBLIC = {
+    # the tests' reference for the overlap space, and a perfbench/spans.py target
+    "linalg.intersect",
+}
+
+
+def _uncalled_public_functions(module):
+    """The public module-level functions and methods of module-level classes
+    that no module but ``__init__``, which re-exports, names outside their
+    own body."""
+    trees = {p.stem: _tree(p.stem) for p in SRC.glob("*.py") if p.stem != "__init__"}
+    body = trees[module].body
+    functions = body + [fn for cls in body if isinstance(cls, ast.ClassDef) for fn in cls.body]
+    return [
+        f"{module}.{fn.name}"
+        for fn in functions
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not fn.name.startswith("_")
+        and f"{module}.{fn.name}" not in _UNCALLED_PUBLIC
+        and not any(_named(tree, fn.name, fn) for tree in trees.values())
+    ]
+
+
+@pytest.mark.parametrize("module", _NOT_INIT)
+def test_public_function_has_a_caller(module):
+    assert _uncalled_public_functions(module) == []

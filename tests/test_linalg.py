@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpencil import linalg
-from rpencil.glie import type2_bracket
+from rpencil.glie import overlap_space, type2_bracket
 from rpencil.linalg import (
     DimensionMismatch,
     Mat,
@@ -37,7 +37,7 @@ def test_matmul_and_apply():
     a = dense([[1, 2], [3, 4]])
     b = dense([[0, 1], [1, 0]])
     assert a * b == dense([[2, 1], [4, 3]])
-    assert a.apply({0: ONE, 1: scalar(1)}) == {0: scalar(3), 1: scalar(7)}
+    assert a * dense([[1], [1]]) == dense([[3], [7]])
 
 
 def test_shape_mismatch():
@@ -55,6 +55,20 @@ def test_transpose_kron():
     k = a.kron(Mat.identity(2))
     assert k.shape == (4, 4)
     assert k[0, 0] == 1 and k[1, 1] == 1 and k[0, 2] == 2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_legs_match_index_reference(n):
+    a = dense([[1, 0, Q], [0, 2, 3]])
+    first, last = a.legs(n)
+    ref_first, ref_last = Mat(2 * n, 3 * n), Mat(2 * n, 3 * n)
+    for i in range(2):
+        for j in range(3):
+            for k in range(n):
+                ref_first.set(i * n + k, j * n + k, a[i, j])
+                ref_last.set(k * 2 + i, k * 3 + j, a[i, j])
+    assert first == ref_first
+    assert last == ref_last
 
 
 def test_rank_and_inverse():
@@ -79,8 +93,7 @@ def test_kernel_image_dims():
     img = image(a)
     assert ker.dim == 2
     assert img.dim == 1
-    for row in ker.rows:
-        assert not a.apply(row)
+    assert (a * Mat(ker.dim, a.ncols, ker.rows).transpose()).is_zero()
 
 
 def test_row_space_membership():
@@ -326,6 +339,25 @@ def _overlap_case(draw):
     return N, i, foreign, draw(st.integers(0, 30))
 
 
+def _tensor_sides(N, i):
+    """I(x)V and V(x)I, spanned index by index rather than with ``Mat.legs``
+    as the certificate does or with annihilators as ``overlap_space`` does."""
+    left = SubspaceBasis(
+        N**3, [{ab * N + c: v for ab, v in row.items()} for row in i.rows for c in range(N)]
+    )
+    right = SubspaceBasis(
+        N**3, [{a * N * N + bc: v for bc, v in row.items()} for row in i.rows for a in range(N)]
+    )
+    return left, right
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_overlap_case())
+def test_overlap_space_matches_intersection(case):
+    N, i, _, _ = case
+    assert overlap_space(i) == intersect(*_tensor_sides(N, i))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_overlap_case())
 # I = e0(x)(e0 + (3q - 7) e1) has overlap zero; at the point I = e0(x)e0,
@@ -333,13 +365,7 @@ def _overlap_case(draw):
 @example((2, SubspaceBasis(4, [{0: ONE, 1: _AT_POINT}]), {0: ONE}, 0))
 def test_overlap_certificate_matches_intersection(case):
     N, i, foreign, pick = case
-    # I(x)V and V(x)I spanned index by index, not with kron as the certificate
-    left = SubspaceBasis(
-        N**3, [{ab * N + c: v for ab, v in row.items()} for row in i.rows for c in range(N)]
-    )
-    right = SubspaceBasis(
-        N**3, [{a * N * N + bc: v for bc, v in row.items()} for row in i.rows for a in range(N)]
-    )
+    left, right = _tensor_sides(N, i)
     truth = intersect(left, right)
     true_rows = truth.rows
     j = pick % max(truth.dim, 1)

@@ -3,6 +3,12 @@ import json
 
 import pytest
 
+from rpencil import poisson, quadratic, rmatrix
+from rpencil.cli import main
+from rpencil.freealg import FreeElement
+from rpencil.poisson import PoissonStructure
+from rpencil.quadratic import QuadraticPresentation
+from rpencil.rmatrix import BraidOperator
 from rpencil.scalars import DEFAULT_ASSIGNMENT
 from rpencil.suites import SUITES, SuiteError, run_suite
 
@@ -223,3 +229,68 @@ def test_quantum_frontier_report_bytes_pinned(n, degree):
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == _QUANTUM_FRONTIER_SHA256[(n, degree)]
+
+
+def _bump_first_entry(build):
+    """hecke_s with S[0, 0] += 1."""
+    def defective(n):
+        s = build(n)
+        mat = s.mat.copy()
+        mat.add_to(0, 0, 1)
+        return BraidOperator(s.dim, mat)
+    return defective
+
+
+def _scale_first_pair(k):
+    """A Poisson builder with its first table entry multiplied by k."""
+    def defect(build):
+        def defective(n):
+            p = build(n)
+            key = next(iter(p.table))
+            return PoissonStructure(p.generators, {**p.table, key: p.table[key] * k})
+        return defective
+    return defect
+
+
+def _add_aa_to_first_relation(build):
+    """A presentation builder with a*a added to its relation 0."""
+    def defective(n):
+        p = build(n)
+        aa = FreeElement.word(p.generators, (0, 0))
+        return QuadraticPresentation(p.generators, (p.relations[0] + aa,) + p.relations[1:])
+    return defective
+
+
+# One defect planted in a builder that the suites call, at n=2 fast, and the
+# checks it fails.  Two checks no defect can fail, by construction:
+# vanishes-on-i-plus (a bracket that does not vanish on I_plus is never built)
+# and printed-table-diff (informational).
+_PLANTED = [
+    ("quantum-type2", rmatrix, "hecke_s", _bump_first_entry,
+     {"qybe", "hecke-relation", "s-matrix-reference", "qybe-induced", "eigen-dimensions"}),
+    ("pencil-type2", poisson, "sd_quadratic", _scale_first_pair(2),
+     {"jacobi-quadratic", "compatible", "pencil-jacobi-random", "linearization",
+      "sklyanin-consistency"}),
+    ("pencil-type2", poisson, "linearized", _scale_first_pair(3),
+     {"compatible", "pencil-jacobi-random", "linearization", "double-lie-identity"}),
+    ("quantum-type2", quadratic, "jhq", _add_aa_to_first_relation,
+     {"filtered-flatness-pbw", "diagonal-shift"}),
+    ("glie", quadratic, "jhq", _add_aa_to_first_relation,
+     {"overlap-dimension", "display-elements-in-overlap", "koszul-evidence"}),
+    ("glie", rmatrix, "hecke_s", _bump_first_entry, {"splitting"}),
+    ("quantum-type2", quadratic, "a0q", _add_aa_to_first_relation,
+     {"graded-flatness", "filtered-flatness-pbw", "diagonal-shift"}),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, module, builder, defect, failing", _PLANTED,
+    ids=[f"{row[0]}-{row[2]}" for row in _PLANTED],
+)
+def test_planted_defect_fails_its_checks(monkeypatch, capsys, suite, module, builder,
+                                         defect, failing):
+    monkeypatch.setattr(module, builder, defect(getattr(module, builder)))
+    assert main(["run", "--suite", suite, "--n", "2", "--mode", "fast"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail"
+    assert {c["name"] for c in report["checks"] if not c["pass"]} == failing
