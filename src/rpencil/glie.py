@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .freealg import FreeElement
 from .linalg import Mat, SubspaceBasis, annihilator, complementary, kernel, rref
@@ -187,7 +187,6 @@ def from_presentation(
     return GeneralizedLieBracket.from_relation_values(pres.generators, i_plus, pairs)
 
 
-@lru_cache(maxsize=None)
 def type2_bracket(n: int) -> GeneralizedLieBracket:
     """The q-Lie bracket whose enveloping algebra is the filtered quantum
     matrix algebra, with the complementary eigenspace as I_plus.

@@ -151,6 +151,16 @@ def test_relations_reduce_to_zero_in_own_completion():
         assert all(not normal_form(ideal, r) for r in pres.relations)
 
 
+def test_lambda_substitution_rejects_surviving_constant():
+    # a*a shifts to (a + lam)(a + lam), whose constant lam**2 nothing cancels
+    pres = a0q(2)
+    aa = FreeElement.word(pres.generators, (0, 0))
+    graded = QuadraticPresentation(pres.generators, (pres.relations[0] + aa,))
+    assert graded.flag == "graded"
+    with pytest.raises(ConsistencyError, match=r"constant term lam\*\*2 in relation"):
+        lambda_substitute(graded)
+
+
 def test_lambda_substitution_flags():
     shifted = lambda_substitute(a0q(2))
     assert shifted.flag == "filtered"

@@ -1,15 +1,15 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from rpencil import poisson, quadratic, rmatrix
+from rpencil import glie, poisson, quadratic, rmatrix
 from rpencil.cli import main
 from rpencil.freealg import FreeElement
 from rpencil.poisson import PoissonStructure
 from rpencil.quadratic import QuadraticPresentation
-from rpencil.rmatrix import BraidOperator
-from rpencil.scalars import DEFAULT_ASSIGNMENT
+from rpencil.scalars import DEFAULT_ASSIGNMENT, Scalar
 from rpencil.suites import SUITES, SuiteError, run_suite
 
 
@@ -158,6 +158,15 @@ def test_glie_fast_builds_bracket_at_the_point(monkeypatch):
             assert all(v.specialize(DEFAULT_ASSIGNMENT) == v for v in row.values())
 
 
+def test_editing_a_built_bracket_reaches_no_later_run():
+    # builders keep no state between calls, so a caller that edits what one
+    # returned leaves the next run's report as it was
+    before = run_suite("glie", 2, None, "fast", 0)
+    glie.type2_bracket(2).matrix.rows[0][1] = Scalar(5)
+    assert run_suite("glie", 2, None, "fast", 0) == before
+    assert before["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("suite", ["pencil-type1", "pencil-type2"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_pencil_fast_run_is_the_exact_run(suite, n):
@@ -231,14 +240,18 @@ def test_quantum_frontier_report_bytes_pinned(n, degree):
     assert digest == _QUANTUM_FRONTIER_SHA256[(n, degree)]
 
 
-def _bump_first_entry(build):
-    """hecke_s with S[0, 0] += 1."""
-    def defective(n):
-        s = build(n)
-        mat = s.mat.copy()
-        mat.add_to(0, 0, 1)
-        return BraidOperator(s.dim, mat)
-    return defective
+def _add_entries(field, *changes):
+    """A builder whose result has value added to entry (i, j) of its matrix
+    field, for each (i, j, value) of changes."""
+    def defect(build):
+        def defective(n):
+            built = build(n)
+            mat = getattr(built, field).copy()
+            for i, j, value in changes:
+                mat.add_to(i, j, value)
+            return replace(built, **{field: mat})
+        return defective
+    return defect
 
 
 def _scale_first_pair(k):
@@ -264,22 +277,39 @@ def _add_aa_to_first_relation(build):
 # One defect planted in a builder that the suites call, at n=2 fast, and the
 # checks it fails.  Two checks no defect can fail, by construction:
 # vanishes-on-i-plus (a bracket that does not vanish on I_plus is never built)
-# and printed-table-diff (informational).
+# and printed-table-diff (informational).  No row reaches these yet:
+# schouten-nonzero-sl2..4, sp2-closes, sp4-closes, sp2-poisson,
+# sp2-compatible-symplectic, jacobi-linear, gl-not-compatible,
+# eigen-direct-sum, overlap-oracle-agreement, axiom-7, axiom-8,
+# enveloping-ideal, table-vanishes-at-classical-point and
+# jacobi-form-rejects-random.  The classical_glie defect adds x_0 to
+# [x_0, x_1] and subtracts it from [x_1, x_0] (column N = 4), so the bracket
+# still vanishes on the symmetric I_plus.
 _PLANTED = [
-    ("quantum-type2", rmatrix, "hecke_s", _bump_first_entry,
-     {"qybe", "hecke-relation", "s-matrix-reference", "qybe-induced", "eigen-dimensions"}),
+    ("quantum-type2", rmatrix, "hecke_s", _add_entries("mat", (0, 0, 1)),
+     {"qybe", "hecke-relation", "s-matrix-reference", "qybe-induced", "eigen-dimensions",
+      "relation-span"}),
     ("pencil-type2", poisson, "sd_quadratic", _scale_first_pair(2),
      {"jacobi-quadratic", "compatible", "pencil-jacobi-random", "linearization",
       "sklyanin-consistency"}),
     ("pencil-type2", poisson, "linearized", _scale_first_pair(3),
      {"compatible", "pencil-jacobi-random", "linearization", "double-lie-identity"}),
+    ("pencil-type2", poisson, "gl_bracket", _scale_first_pair(2), {"double-lie-identity"}),
+    ("pencil-type1", poisson, "constant_symplectic", _scale_first_pair(2),
+     {"sp4-compatible-symplectic"}),
+    ("pencil-type1", rmatrix, "canonical_r", _add_entries("mat", (0, 1, 1)),
+     {"modified-r-sl2", "modified-r-sl3", "modified-r-sl4"}),
+    ("pencil-type1", rmatrix, "canonical_r_sp", _add_entries("mat", (0, 1, 1)),
+     {"modified-r-sp2", "modified-r-sp4", "sp4-poisson", "sp4-compatible-symplectic"}),
     ("quantum-type2", quadratic, "jhq", _add_aa_to_first_relation,
      {"filtered-flatness-pbw", "diagonal-shift"}),
     ("glie", quadratic, "jhq", _add_aa_to_first_relation,
      {"overlap-dimension", "display-elements-in-overlap", "koszul-evidence"}),
-    ("glie", rmatrix, "hecke_s", _bump_first_entry, {"splitting"}),
+    ("glie", rmatrix, "hecke_s", _add_entries("mat", (0, 0, 1)), {"splitting"}),
+    ("glie", glie, "classical_glie", _add_entries("matrix", (0, 1, 1), (0, 4, -1)),
+     {"jacobi-form-classical"}),
     ("quantum-type2", quadratic, "a0q", _add_aa_to_first_relation,
-     {"graded-flatness", "filtered-flatness-pbw", "diagonal-shift"}),
+     {"relation-span", "graded-flatness", "filtered-flatness-pbw", "diagonal-shift"}),
 ]
 
 
