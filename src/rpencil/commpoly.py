@@ -98,9 +98,6 @@ class Terms:
     def __hash__(self):
         return hash((self.generators, tuple(sorted(self.terms.items()))))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

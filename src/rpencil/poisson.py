@@ -7,10 +7,13 @@ arbitrary polynomials is the Leibniz extension
 
 Jacobi and compatibility are read from the Schouten bracket of two tables,
 
-    [P1,P2]_ijk = sum_{cyclic (i,j,k)} sum_l (P2_il d_l P1_jk + P1_il d_l P2_jk):
+    [P1,P2]_ijk = sum_{cyclic (i,j,k)} sum_l (P2_il d_l P1_jk + P1_il d_l P2_jk),
 
-``is_poisson`` tests [P,P] = 0 and ``are_compatible`` tests [P1,P2] = 0, each
-naming the first nonzero component i<j<k as its witness.
+scattered from the table entries: each nonzero product of an entry of one
+table with a derivative of an entry of the other is added into its triple,
+so the work follows the nonzero products, not the triples.  ``is_poisson``
+tests [P,P] = 0 and ``are_compatible`` tests [P1,P2] = 0, each naming the
+first nonzero component i<j<k as its witness.
 
 Builders cover the quadratic matrix bracket, its linearization, the gl(n)
 Poisson-Lie bracket, constant symplectic brackets and brackets induced by
@@ -21,7 +24,7 @@ table ``matrix_pairs`` and the gl(n) structure constants ``gl_structure``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from .commpoly import GeneratorError, Poly
@@ -49,8 +52,8 @@ class PoissonStructure:
         self.generators = tuple(generators)
         clean = {}
         for (i, j), p in table.items():
-            if i >= j:
-                raise GeneratorError("table keys must satisfy i < j")
+            if not 0 <= i < j < len(self.generators):
+                raise GeneratorError("table keys must satisfy 0 <= i < j < dim")
             if p:
                 clean[(i, j)] = p
         self.table = clean
@@ -101,38 +104,27 @@ def schouten_bracket(p1: PoissonStructure, p2: PoissonStructure) -> dict:
 
     Keys come in lexicographic order.  At generators the component is the
     mixed Jacobiator {x_i,{x_j,x_k}_1}_2 + {x_i,{x_j,x_k}_2}_1 + cyclic, so
-    [P, P] is twice the Jacobiator of P.
+    [P, P] is twice the Jacobiator of P.  Each product P'_xl d_l P_yz with
+    both factors nonzero, for both orders (P, P') of the tables, lands in
+    the sorted triple of x, y, z, negated when y < x < z.
     """
     p1._check(p2)
-    gens = p1.generators
-    zero = Poly.zero(gens)
-
-    def rows(p):
-        out = [{} for _ in gens]
-        for (i, j), t in p.table.items():
-            out[i][j] = t
-            out[j][i] = -t
-        return out
-
-    def derive(row, f):
-        """{x_i, f} = sum_l P_il d_l f, for the row P_i of x_i."""
-        out = zero
-        for l, t in row.items():
-            df = f.diff(l)
-            if df:
-                out = out + t * df
-        return out
-
-    rows1, rows2 = rows(p1), rows(p2)
     out = {}
-    for i, j, k in combinations(range(len(gens)), 3):
-        acc = zero
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            acc = (acc + derive(rows2[x], rows1[y].get(z, zero))
-                   + derive(rows1[x], rows2[y].get(z, zero)))
-        if acc:
-            out[(i, j, k)] = acc
-    return out
+    for p, other in ((p1, p2), (p2, p1)):
+        column = {}  # l -> [(x, P'_xl)] over the nonzero entries of P'
+        for (x, l), t in other.table.items():
+            column.setdefault(l, []).append((x, t))
+            column.setdefault(x, []).append((l, -t))
+        for (y, z), t in p.table.items():
+            for l in {l for m in t.terms for l, e in enumerate(m) if e} & column.keys():
+                dt = t.diff(l)
+                for x, s in column[l]:
+                    if x == y or x == z:
+                        continue
+                    key = tuple(sorted((x, y, z)))
+                    term = (-s if y < x < z else s) * dt
+                    out[key] = out[key] + term if key in out else term
+    return {key: out[key] for key in sorted(out) if out[key]}
 
 
 def _verdict(generators, components: dict):
@@ -294,7 +286,7 @@ class MatrixRep:
     """A Lie algebra presented by a list of dim x dim basis matrices."""
 
     dim: int
-    basis_matrices: tuple = field(default_factory=tuple)
+    basis_matrices: tuple
 
     def closes_under_commutator(self) -> bool:
         span = SubspaceBasis(self.dim * self.dim, [self._vec(m) for m in self.basis_matrices])

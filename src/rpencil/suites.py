@@ -60,8 +60,8 @@ def _maybe(obj, assign):
 _GENS4 = _poisson.matrix_generators(2)
 
 
-def _w(word: str, coeff=1) -> FreeElement:
-    return FreeElement.word(_GENS4, tuple("abcd".index(ch) for ch in word), coeff)
+def _w(word: str) -> FreeElement:
+    return FreeElement.word(_GENS4, tuple("abcd".index(ch) for ch in word))
 
 
 def _g(name: str) -> FreeElement:

@@ -106,7 +106,7 @@ def test_03_gl_non_compatibility():
     abd = tuple(gl.generators.index(x) for x in ("a", "b", "d"))
     witness_value = schouten_bracket(gl, sd).get(abd, Poly.zero(gl.generators))
     _report(3, "gl bracket incompatible, witness (a,b,d)",
-            (not compatible) and not witness_value.is_zero())
+            (not compatible) and bool(witness_value))
 
 
 def test_04_linearization():
@@ -266,7 +266,7 @@ def test_14_bracket_table_diff():
     ok = True
     # bilinearity is structural; vanishing on I_plus and the classical limit
     ok &= not any(g.values(g.i_plus.rows))
-    ok &= all(v.specialize({"q": 1, "h": 0}).is_zero() for v in table.values())
+    ok &= not any(v.specialize({"q": 1, "h": 0}) for v in table.values())
     report = run_suite("glie", 2, None, "exact", 0)
     diff = next(c for c in report["checks"] if c["name"] == "printed-table-diff")
     entries = diff["details"]["entries"]

@@ -14,7 +14,7 @@ def g(name):
 
 
 def test_zero_and_constant():
-    assert Poly.zero(GENS).is_zero()
+    assert not Poly.zero(GENS)
     assert Poly.constant(GENS, 3).terms == {(0, 0, 0): 3}
     assert Poly.zero(GENS).terms == {}
 
@@ -35,7 +35,7 @@ def test_diff():
     p = x * x * y + 2 * x
     assert p.diff(0) == 2 * x * y + Poly.constant(GENS, 2)
     assert p.diff(1) == x * x
-    assert p.diff(2).is_zero()
+    assert not p.diff(2)
 
 
 def test_generator_mismatch():
@@ -58,8 +58,8 @@ def test_cross_type_operands():
 
 def test_scalar_coefficients_collapse():
     x = g("x")
-    assert ((Q - Q) * x).is_zero()
-    assert (x - x).is_zero()
+    assert not ((Q - Q) * x)
+    assert not (x - x)
 
 
 exponents = st.tuples(*[st.integers(0, 2)] * len(GENS))

@@ -40,7 +40,7 @@ def test_homogeneous_part():
     f = X * Y + X + Y * X
     assert f.homogeneous_part(2) == X * Y + Y * X
     assert f.homogeneous_part(1) == X
-    assert f.homogeneous_part(0).is_zero()
+    assert not f.homogeneous_part(0)
 
 
 def test_deglex_order():

@@ -191,6 +191,8 @@ _REPORT_SHA256 = {
     ("pencil-type2", 3, "fast"): "a78a29450e443d4a9ea8c0940b94e4890d0d340f41ddaccbcc9d3aeb6e49def7",
     ("pencil-type2", 4, "fast"): "47481886e26dc375ef446e890bf3ccbeedcd3e2e7092b826e9f227897a43247f",
     ("pencil-type2", 4, "exact"): "fdbc9f57f1450ff488df2244b5145150baab4adca27af2596509edb1967f5d31",
+    ("pencil-type2", 5, "fast"): "f0500ce807be00fbeec7edc83eb379d17dfe3ac7ab9bfb14fa9ffbc18ec3f1b4",
+    ("pencil-type2", 5, "exact"): "c8b41e909eaa215a81b9083a99c91749ef20bd85536423f2c9da8be9a63ed164",
     ("quantum-type2", 2, "exact"): "4d79ed030848fb2b9c46550bfa65ba9b6c6a412eb879130a1fbdfa6ecaeeff1d",
     ("quantum-type2", 2, "fast"): "4aefdd939f88d65466a746c07f2a8f632343afb0bd8cba624ffb2fea572ce1f1",
     ("quantum-type2", 3, "exact"): "3da0c4a96572a609f91ddbd688ea675cb4c9eb4b795be16c42d3c20b0557b98e",
