@@ -14,7 +14,6 @@ from .scalars import (
 from .linalg import DimensionMismatch, Mat, SubspaceBasis
 from .commpoly import GeneratorError, Poly
 from .poisson import (
-    MatrixRep,
     PoissonStructure,
     are_compatible,
     constant_symplectic,
@@ -33,6 +32,7 @@ from .rmatrix import (
     RMatrixElement,
     canonical_r,
     canonical_r_sp,
+    closes_under_commutator,
     eigen_split,
     hecke_check,
     hecke_s,

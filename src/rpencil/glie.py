@@ -123,8 +123,6 @@ def overlap_space(i: SubspaceBasis) -> SubspaceBasis:
     N = int(round(NN**0.5))
     if N * N != NN:
         raise SplittingError("subspace does not live in a tensor square")
-    if i.dim == 0:
-        return SubspaceBasis(N**3, [])
     # phi (x) id and id (x) phi for one phi after another.  ``A.legs(N)``, A the
     # annihilator rows, spans the same space and gives the same basis, but
     # rref meets the rows in another order and takes longer: kernel at glie

@@ -291,15 +291,15 @@ def _live_successors(words, letters: int) -> list:
 def _word_count(ideal: NcIdeal, length: int) -> int:
     """Number of irreducible words of the given length, counted once per ideal.
 
-    One pass counts every length up to the degree bound, or up to ``length``
-    if that is larger.
+    One pass counts every length up to the degree bound; the callers check
+    that ``length`` is within it first.
     """
     counts = ideal._counts
     if length >= len(counts):
         successors = _live_successors(ideal.rules, len(ideal.generators))
         paths = {0: 1}  # live state -> number of words that end there
         counts[:] = [1]
-        for _ in range(max(length, ideal.degree_bound)):
+        for _ in range(ideal.degree_bound):
             step: dict = {}
             for s, m in paths.items():
                 for t in successors[s]:

@@ -24,11 +24,9 @@ table ``matrix_pairs`` and the gl(n) structure constants ``gl_structure``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .commpoly import GeneratorError, Poly
-from .linalg import Mat, SubspaceBasis
 from .scalars import PoleError, scalar
 
 
@@ -279,30 +277,6 @@ def double_lie_check(n: int):
 # ---------------------------------------------------------------------------
 # representation-driven brackets on Fun(V*)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MatrixRep:
-    """A Lie algebra presented by a list of dim x dim basis matrices."""
-
-    dim: int
-    basis_matrices: tuple
-
-    def closes_under_commutator(self) -> bool:
-        span = SubspaceBasis(self.dim * self.dim, [self._vec(m) for m in self.basis_matrices])
-        for x in self.basis_matrices:
-            for y in self.basis_matrices:
-                comm = x * y - y * x
-                if not span.contains(self._vec(comm)):
-                    return False
-        return True
-
-    def _vec(self, m: Mat) -> dict:
-        out = {}
-        for i, row in enumerate(m.rows):
-            for j, v in row.items():
-                out[i * self.dim + j] = v
-        return out
 
 
 def rmatrix_bracket(r) -> PoissonStructure:

@@ -21,8 +21,8 @@ other sum goes to ``_add``, and every other product to ``_mul``, or to
 gcd(f, g) takes a shortcut when either is a single term.  Otherwise it is
 the heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC 7, 1989), which
 evaluates the variables one by one at a large integer, takes an integer gcd
-and interpolates; every candidate is checked by exact division.  When the
-heuristic gives up, the subresultant PRS in the first variable over the
+and interpolates one candidate per point, checked by exact division.  When
+the heuristic gives up, the subresultant PRS in the first variable over the
 polynomials in the later ones (Collins; Brown, JACM 18, 1971) decides.
 """
 
@@ -253,7 +253,8 @@ def _heu_gcd(f, g, v: int):
     """(h, f/h, g/h) with h = gcd(f, g) and lc(h) > 0, or None if the heuristic
     fails.
 
-    f and g are nonzero and free of the variables before v.
+    f and g are nonzero and free of the variables before v.  At each point x
+    the one candidate is the gcd at v = x, interpolated and made primitive.
     """
     while v < 3 and not any(m[v] for m in f) and not any(m[v] for m in g):
         v += 1
@@ -270,25 +271,13 @@ def _heu_gcd(f, g, v: int):
         ff, gg = _evaluate_at(f, v, x), _evaluate_at(g, v, x)
         found = _heu_gcd(ff, gg, v + 1) if ff and gg else None
         if found is not None:
-            for h in _candidates(f, g, found, v, x):
-                cf = exquo(f, h)
-                cg = exquo(g, h) if cf is not None else None
-                if cg is not None:
-                    return mul_ground(h, c), cf, cg
+            h = primitive(_interpolate(found[0], v, x))
+            cf = exquo(f, h)
+            cg = exquo(g, h) if cf is not None else None
+            if cg is not None:
+                return mul_ground(h, c), cf, cg
         x = 73794 * x * isqrt(isqrt(x)) // 27011
     return None
-
-
-def _candidates(f, g, found, v: int, x: int):
-    """Candidate gcds from the gcd and cofactors of f and g at variable v = x."""
-    hh, cff, cfg = found
-    yield primitive(_interpolate(hh, v, x))
-    for p, cofactor in ((f, cff), (g, cfg)):
-        cofactor = _interpolate(cofactor, v, x)
-        h = exquo(p, cofactor) if cofactor else None
-        if h is not None:
-            # not primitive(h): its content is 1 if it divides f and g
-            yield neg(h) if lc(h) < 0 else h
 
 
 def prs_gcd(f, g, v: int = 0):

@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .commpoly import Poly
-from .linalg import DimensionMismatch, Mat, image, kernel
-from .poisson import (
-    MatrixRep, PoissonStructure, matrix_generators, rmatrix_bracket, sd_quadratic,
-)
+from .linalg import DimensionMismatch, Mat, SubspaceBasis, image, kernel
+from .poisson import PoissonStructure, matrix_generators, rmatrix_bracket, sd_quadratic
 from .scalars import ONE, Q, ZERO
 
 
@@ -117,18 +115,27 @@ def canonical_r_sp(dim: int) -> RMatrixElement:
     return _canonical(dim, _sp_roots(dim))
 
 
-def sl_fundamental(n: int) -> MatrixRep:
+def sl_fundamental(n: int) -> tuple:
     basis = [x for pair in _sl_roots(n) for x in pair]
     basis += [_unit(n, i, i) - _unit(n, i + 1, i + 1) for i in range(n - 1)]
-    return MatrixRep(n, tuple(basis))
+    return tuple(basis)
 
 
-def sp_fundamental(dim: int) -> MatrixRep:
-    """sp of the standard skew form <e_i, e_{i+m}> = 1, dim = 2m."""
+def sp_fundamental(dim: int) -> tuple:
+    """A basis of sp of the standard skew form <e_i, e_{i+m}> = 1, dim = 2m."""
     basis = [x for pair in _sp_roots(dim) for x in pair]
     m = dim // 2
     basis += [_unit(dim, i, i) - _unit(dim, m + i, m + i) for i in range(m)]
-    return MatrixRep(dim, tuple(basis))
+    return tuple(basis)
+
+
+def closes_under_commutator(basis) -> bool:
+    """Whether the span of the square matrices in basis is closed under [x, y]."""
+    n = basis[0].nrows if basis else 0
+    def vec(m):
+        return {i * n + j: v for i, row in enumerate(m.rows) for j, v in row.items()}
+    span = SubspaceBasis(n * n, [vec(m) for m in basis])
+    return all(span.contains(vec(x * y - y * x)) for x in basis for y in basis)
 
 
 def schouten(r: RMatrixElement) -> Mat:
@@ -140,13 +147,13 @@ def schouten(r: RMatrixElement) -> Mat:
     return comm(r12, r13) + comm(r12, r23) + comm(r13, r23)
 
 
-def is_modified(r: RMatrixElement, rep: MatrixRep) -> bool:
-    """True iff [[R,R]] commutes with every x (x) 1 (x) 1 + ... cyclic sum."""
-    if rep.dim != r.dim:
+def is_modified(r: RMatrixElement, basis) -> bool:
+    """True iff [[R,R]] commutes with the cyclic sum x (x) 1 (x) 1 + ... of each x in basis."""
+    if any(x.nrows != r.dim for x in basis):
         raise DimensionMismatch("representation and r-matrix dimensions differ")
     s = schouten(r)
     n = r.dim
-    for x in rep.basis_matrices:
+    for x in basis:
         first, last = x.legs(n * n)
         total = first + last + x.legs(n)[1].legs(n)[0]
         if not (s * total - total * s).is_zero():

@@ -24,8 +24,6 @@ from .freealg import FreeElement
 from .linalg import Mat, SubspaceBasis, complementary, image, rank_modulo_reaches
 from .scalars import DEFAULT_ASSIGNMENT, H, LAM, ONE, Q, Scalar
 
-SUITES = ("pencil-type1", "pencil-type2", "quantum-type2", "glie", "all")
-
 REPORT_SCHEMA = 1
 
 
@@ -140,10 +138,10 @@ def _suite_pencil_type1(n, degree, assign, rng, checks):
         checks.add(f"schouten-nonzero-sl{k}", not _rmatrix.schouten(r).is_zero())
         checks.add(f"modified-r-sl{k}", _rmatrix.is_modified(r, _rmatrix.sl_fundamental(k)))
     for dim in (2, 4):
-        rep = _rmatrix.sp_fundamental(dim)
-        checks.add(f"sp{dim}-closes", rep.closes_under_commutator())
+        basis = _rmatrix.sp_fundamental(dim)
+        checks.add(f"sp{dim}-closes", _rmatrix.closes_under_commutator(basis))
         r = _rmatrix.canonical_r_sp(dim)
-        checks.add(f"modified-r-sp{dim}", _rmatrix.is_modified(r, rep))
+        checks.add(f"modified-r-sp{dim}", _rmatrix.is_modified(r, basis))
         bracket = _poisson.rmatrix_bracket(r)
         ok, witness = bracket.is_poisson()
         checks.add(f"sp{dim}-poisson", ok, witness=_opt(witness))
@@ -405,6 +403,8 @@ _RUNNERS = {
     "quantum-type2": _suite_quantum_type2,
     "glie": _suite_glie,
 }
+
+SUITES = (*_RUNNERS, "all")
 
 
 def run_suite(name: str, n: int = 2, degree: int = None, mode: str = "exact", seed: int = 0) -> dict:

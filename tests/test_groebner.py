@@ -286,8 +286,8 @@ def test_word_count_matches_scan(drawn):
     words, letters = drawn
     gens = tuple("abcd"[:letters])
     rules = {w: FreeElement.word(gens, w) for w in words}
-    # bound 2: lengths past the bound are counted on demand
-    ideal = NcIdeal(gens, 2, "graded", rules, {w: () for w in words})
+    # bound 6: one pass counts the seven lengths 0..6
+    ideal = NcIdeal(gens, 6, "graded", rules, {w: () for w in words})
     counts = [_word_count(ideal, k) for k in range(7)]
     assert counts == [_reference_word_count(rules, letters, k) for k in range(7)]
 

@@ -13,7 +13,8 @@ that its top-level imports bind.  Every private module-level function is
 named in ``src`` outside its own body, so no helper stays there for the
 tests alone; so is every public function and method, outside ``__init__``
 too, except the few listed with their reason; a method counts as named only
-where it is read as an attribute.
+where it is read as an attribute.  The rpencil modules that each module
+imports are pinned in one table.
 """
 
 import ast
@@ -201,3 +202,51 @@ def _uncalled_public_functions(module):
 @pytest.mark.parametrize("module", _NOT_INIT)
 def test_public_function_has_a_caller(module):
     assert _uncalled_public_functions(module) == []
+
+
+# the rpencil modules each module imports; a new edge between modules is a
+# change of the module map in README.md and shows up here
+_DEPENDS = {
+    "__init__": {"commpoly", "freealg", "glie", "groebner", "linalg", "poisson",
+                 "quadratic", "rmatrix", "scalars", "serialize", "suites"},
+    "cli": {"serialize", "suites"},
+    "commpoly": {"scalars"},
+    "freealg": {"commpoly", "scalars"},
+    "glie": {"freealg", "linalg", "poisson", "quadratic", "rmatrix", "scalars"},
+    "groebner": {"commpoly", "freealg"},
+    "linalg": {"scalars"},
+    "poisson": {"commpoly", "scalars"},
+    "quadratic": {"commpoly", "freealg", "groebner", "linalg", "poisson", "scalars"},
+    "ratfunc": set(),
+    "rmatrix": {"commpoly", "linalg", "poisson", "scalars"},
+    "scalars": {"ratfunc"},
+    "serialize": {"commpoly", "freealg", "glie", "linalg", "poisson", "quadratic",
+                  "rmatrix", "scalars"},
+    "suites": {"commpoly", "freealg", "glie", "linalg", "poisson", "quadratic",
+               "rmatrix", "scalars"},
+}
+
+
+def _package_imports(tree):
+    """The rpencil modules that tree imports from, by any import statement."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            dotted = [f"rpencil.{node.module or alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            dotted = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in dotted if name.startswith("rpencil."))
+    return found
+
+
+def test_every_module_has_pinned_imports():
+    assert sorted(_DEPENDS) == sorted(p.stem for p in SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", sorted(_DEPENDS))
+def test_module_imports_match_the_module_map(module):
+    assert _package_imports(_tree(module)) == _DEPENDS[module]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from rpencil.commpoly import GeneratorError, Poly
 from rpencil.linalg import Mat
 from rpencil.poisson import (
-    MatrixRep,
     PoissonStructure,
     are_compatible,
     constant_symplectic,
@@ -24,7 +23,7 @@ from rpencil.poisson import (
     schouten_bracket,
     sd_quadratic,
 )
-from rpencil.rmatrix import canonical_r_sp, sp_fundamental
+from rpencil.rmatrix import canonical_r_sp, closes_under_commutator, sp_fundamental
 from rpencil.scalars import LAM, ONE, Q, scalar
 
 
@@ -161,7 +160,7 @@ def test_n3_sample_entries():
 
 def test_sp_representation_closes():
     for dim in (2, 4):
-        assert sp_fundamental(dim).closes_under_commutator()
+        assert closes_under_commutator(sp_fundamental(dim))
 
 
 def test_rmatrix_bracket_sp():

@@ -12,6 +12,7 @@ from rpencil.rmatrix import (
     _swap_legs,
     canonical_r,
     canonical_r_sp,
+    closes_under_commutator,
     eigen_split,
     flip_operator,
     hecke_check,
@@ -48,6 +49,17 @@ def test_modified_fails_for_wrong_weighting():
     m.set(0 * 3 + 1, 1 * 3 + 0, Scalar(2))
     broken = type(r)(3, m)
     assert not is_modified(broken, sl_fundamental(3))
+
+
+def test_closes_under_commutator():
+    # [E_12, E_21] = E_11 - E_22 lies outside the span of E_12 and E_21
+    assert closes_under_commutator(sl_fundamental(3))
+    assert not closes_under_commutator(sl_fundamental(2)[:2])
+
+
+def test_modified_rejects_a_basis_of_another_size():
+    with pytest.raises(DimensionMismatch, match="dimensions differ"):
+        is_modified(canonical_r(3), sl_fundamental(2))
 
 
 def _embed_pair(mat: Mat, n: int, pos: tuple) -> Mat:
@@ -98,7 +110,7 @@ def test_fundamental_basis_is_independent(rep, dim):
     # sl(n) has dimension n^2 - 1 and sp(2m) m(2m + 1); is_modified tests
     # each basis element, so a missing or dependent one would go unnoticed
     expected = dim * dim - 1 if rep is sl_fundamental else dim * (dim + 1) // 2
-    basis = rep(dim).basis_matrices
+    basis = rep(dim)
     assert len(basis) == expected
     vecs = [{i * dim + j: v for i, row in enumerate(x.rows) for j, v in row.items()}
             for x in basis]

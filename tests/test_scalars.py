@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import ZZ, Rational
+from sympy import ZZ, Rational, sympify
 from sympy.polys.fields import field
 
 from rpencil import ratfunc
@@ -600,8 +600,8 @@ def test_field_matches_sympy(polys, n):
 
 @settings(max_examples=120, deadline=None)
 @given(shared_factors())
-# gcd(lam**2, h**2*lam): the candidate h**2*lam / lam = 961 at h = 31 must not
-# be reduced to its primitive part, 1
+# gcd(lam**2, h**2*lam): the gcd lam is free of h, while the cofactor of
+# h**2*lam is not
 @example([{(0, 0, 2): 1}, {(0, 2, 1): 1}] + [{(0, 0, 0): 1}] * 4)
 def test_gcd_fallback_matches_heuristic(polys):
     a, b, c, d, e, f = polys
@@ -618,6 +618,25 @@ def test_gcd_fallback_matches_heuristic(polys):
             g, cf, cg = found
             assert g == h
             assert ratfunc.mul(g, cf) == top and ratfunc.mul(g, cg) == bottom
+
+
+# Pairs whose first evaluation point fails at the innermost level, so GCDHEU
+# interpolates at a second point.
+@pytest.mark.parametrize("f,g", [
+    ("2*q**4*h*lam - 3*q**2*h*lam**3", "6*q**4*h**2 - 9*q**2*h**2*lam**2"),
+    ("q**2*h*lam + q**2*h - 3*q*h**3*lam**3 - 3*q*h**3*lam**2",
+     "4*q**3*h - 12*q**2*h**3*lam**2 + 2*q**2*h*lam**2 - 6*q*h**3*lam**4"),
+])
+def test_heuristic_gcd_matches_sympy_and_prs(f, g):
+    f, g = (_RING.from_expr(sympify(p)) for p in (f, g))
+    expected = f.gcd(g)
+    if expected.LC < 0:
+        expected = -expected
+    f, g = dict(f), dict(g)
+    h, cf, cg = ratfunc.cofactors(f, g)
+    assert h == dict(expected) == ratfunc.prs_gcd(f, g)
+    assert ratfunc.mul(h, cf) == f and ratfunc.mul(h, cg) == g
+    assert ratfunc._heu_gcd(f, g, 0) == (h, cf, cg)
 
 
 def test_rpencil_runs_without_sympy():
