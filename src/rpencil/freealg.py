@@ -5,7 +5,7 @@ from __future__ import annotations
 from operator import add
 
 from .commpoly import GeneratorError, Terms
-from .scalars import ONE, Scalar, scalar
+from .scalars import ONE, scalar
 
 
 def deglex_key(word):
@@ -40,16 +40,6 @@ class FreeElement(Terms):
     def degree(self) -> int:
         """Maximal word length; -1 for zero."""
         return max((len(w) for w in self.terms), default=-1)
-
-    def leading_word(self):
-        return max(self.terms, key=deglex_key)
-
-    def leading_coeff(self) -> Scalar:
-        return self.terms[self.leading_word()]
-
-    def monic(self) -> "FreeElement":
-        lc = self.leading_coeff()
-        return FreeElement._raw(self.generators, {w: c / lc for w, c in self.terms.items()})
 
     def homogeneous_part(self, degree: int) -> "FreeElement":
         return FreeElement(

@@ -5,18 +5,28 @@ deglex maps to smaller terms); overlaps between leading words are resolved
 by increasing degree until every word of length <= D reduces uniquely.
 This is the engine behind all flatness and PBW dimension counts.
 
+Field elements: from a popped queue entry to a new rule, ``complete``
+computes on bare field elements (a Fraction or a RatFunc) with ``ratfunc``'s
+``times``, ``plus``, ``divide`` and ``negate``, never on Scalars.  An element
+in work is a dict ``{(len(w), w): c}``, so its largest key is its leading
+word under deglex, and that key is its heap key in the queue.  A FreeElement
+of Scalars is built only for a rule that is accepted or whose tail is
+re-reduced; ``normal_form`` converts at its boundary.
+
 Tails: beside each rule, ``complete`` keeps its tail, the pairs
-``(word, -coeff)`` of the rule's other words in the rule's term order.  A
-rule ``lw -> g`` rewrites ``c * prefix + lw + suffix`` into
-``c * tc * (prefix + tw + suffix)`` for every ``(tw, tc)`` of the tail, so
-rewriting and S-elements only multiply and add, and never negate.
+``(word, -coeff)`` of the rule's other words in the rule's term order, as
+field elements negated once.  A rule ``lw -> g`` rewrites
+``c * prefix + lw + suffix`` into ``c * tc * (prefix + tw + suffix)`` for
+every ``(tw, tc)`` of the tail, and an S-element takes the first rule's
+coefficients from the rule and the second rule's from its tail, so rewriting
+and S-elements only multiply and add, and never negate.
 
 Reduction strategy (``_reduce``): rewrite the largest reducible word first;
 within it, the leftmost occurrence of a leading word, and among leading
 words starting there the longest.  Each rewrite replaces a word by strictly
-smaller ones, so the words of a dict keyed by ``(len(w), w)`` are taken
-once each, by ``max``, in descending deglex order, and a word found
-irreducible is final.
+smaller ones, so the words of a work dict are taken once each, by ``max``,
+in descending deglex order, and a word found irreducible is final.  The
+normal form comes out in that order, so its first word is its leading word.
 
 Invariant of ``complete``: every rule tail is irreducible with respect to
 the current leading words.  A new leading word ``lw`` can only make a tail
@@ -24,10 +34,21 @@ reducible where one of its words contains ``lw``.  Such a word is at least
 ``lw`` in deglex, and a tail word is smaller than its rule's leading word,
 so only the tails of rules above ``lw`` are searched.
 
-``complete`` walks the rules twice per new rule: it re-queues those whose
-leading words contain ``lw``, then in rule order re-reduces each tail that
-needs it and pushes the rule's S-elements with the new rule.  Those read only
-its final tail and the new rule, so no push depends on a later re-reduction.
+Bounds: ``longest`` is the length of the longest leading word ever inserted.
+No leading word is longer, so ``_find_redex`` tries no slice longer than it,
+and a rule whose leading word contains ``lw`` can exist only when
+``longest > len(lw)``; only then does ``complete`` scan the rules to re-queue
+those.  ``top`` is the largest leading word ever inserted, under deglex.
+
+Per new rule, ``complete`` walks the rules in rule order: it re-reduces each
+tail that needs it and pushes the rule's S-elements with the new rule.  Those
+read only its final tail and the new rule, so no push depends on a later
+re-reduction.  When ``top`` is ``lw`` itself, no rule is above ``lw`` and no
+tail needs re-reducing, so the walk visits only the rules that the letter
+index ``starts``/``ends`` (letter -> leading words that start or end with
+it) offers for an overlap, sorted by insertion number, which is their rule
+order.  Otherwise the walk visits every rule.  Either walk pushes the same
+S-elements in the same order.
 
 Overlaps: a proper overlap of ``w1`` with ``w2`` (a suffix of ``w1`` equal
 to a prefix of ``w2``) needs ``w2[0]`` in ``w1[1:]`` and ``w1[-1]`` in
@@ -49,7 +70,9 @@ import heapq
 import itertools
 
 from .commpoly import GeneratorError
-from .freealg import FreeElement, deglex_key
+from .freealg import FreeElement
+from .ratfunc import divide, negate, plus, times
+from .scalars import ONE, Scalar
 
 
 class IdealCollapse(Exception):
@@ -67,35 +90,44 @@ class NcIdeal:
     words of each length is counted once and kept.
     """
 
-    __slots__ = ("generators", "degree_bound", "flag", "rules", "tails", "_counts")
+    __slots__ = ("generators", "degree_bound", "flag", "rules", "tails", "longest", "_counts")
 
     def __init__(self, generators, degree_bound, flag, rules, tails):
         self.generators = tuple(generators)
         self.degree_bound = degree_bound
         self.flag = flag
         self.rules = rules  # leading word -> monic FreeElement
-        self.tails = tails  # leading word -> ((word, -coeff), ...) of the rule
+        self.tails = tails  # leading word -> ((word, -coeff), ...) of the rule, field elements
+        self.longest = max(map(len, rules), default=0)  # length of the longest leading word
         self._counts = []  # word length -> number of irreducible words
 
 
-def _tail(g: FreeElement, lw) -> tuple:
-    """The pairs ``(word, -coeff)`` of the monic rule g's words other than lw."""
-    return tuple((w, -c) for w, c in g.terms.items() if w != lw)
+def _work(f: FreeElement) -> dict:
+    """f as a work dict ``{(len(w), w): c}`` of field elements."""
+    return {(len(w), w): c.value for w, c in f.terms.items()}
 
 
-def _reduce(f: FreeElement, tails: dict) -> FreeElement:
-    """Normal form of f with respect to the rules (deterministic strategy).
+def _rule(generators, lw, tail) -> FreeElement:
+    """The monic rule with leading word lw and the given tail, in the tail's order."""
+    terms = {lw: ONE}
+    for tw, tc in tail:
+        terms[tw] = Scalar(negate(tc))
+    return FreeElement._raw(generators, terms)
 
-    ``tails`` maps each leading word to its rule's tail.  The result's words
-    are in descending deglex order.
+
+def _reduce(work: dict, tails: dict, longest: int) -> dict:
+    """Normal form of a work dict, which it consumes (deterministic strategy).
+
+    ``tails`` maps each leading word to its rule's tail, and no leading word
+    is longer than ``longest``.  The result maps words to field elements in
+    descending deglex order.
     """
-    work = {(len(w), w): c for w, c in f.terms.items()}
     out = {}
     while work:
         key = max(work)
         c = work.pop(key)
         w = key[1]
-        hit = _find_redex(w, tails)
+        hit = _find_redex(w, tails, longest)
         if hit is None:
             out[w] = c
             continue
@@ -106,21 +138,22 @@ def _reduce(f: FreeElement, tails: dict) -> FreeElement:
             nkey = (len(nw), nw)
             prev = work.get(nkey)
             if prev is None:
-                work[nkey] = c * tc
+                work[nkey] = times(c, tc)
             else:
-                s = prev + c * tc
+                s = plus(prev, times(c, tc))
                 if s:
                     work[nkey] = s
                 else:
                     del work[nkey]
-    return FreeElement._raw(f.generators, out)
+    return out
 
 
-def _find_redex(word, rules):
-    """The leftmost leading word in word, the longest among those starting there."""
+def _find_redex(word, rules, longest: int):
+    """The leftmost leading word in word, the longest among those starting
+    there; no leading word is longer than ``longest``."""
     n = len(word)
     for pos in range(n):
-        for end in range(n, pos, -1):
+        for end in range(min(n, pos + longest), pos, -1):
             sub = word[pos:end]
             if sub in rules:
                 return pos, sub
@@ -151,49 +184,72 @@ def complete(relations, degree_bound: int) -> NcIdeal:
     # Pop order: smallest leading word under deglex first, and among equal
     # leading words the most recently queued.  Degree-truncated filtered
     # completions depend on it, so any other tie rule can change dimensions.
-    rules: dict = {}
+    rules: dict = {}  # leading word -> monic FreeElement, in rule order
+    tails: dict = {}  # leading word -> the tail of its rule
+    order: dict = {}  # leading word -> insertion number, increasing in rule order
+    starts: dict = {}  # letter -> leading words that start with it
+    ends: dict = {}  # letter -> leading words that end with it
+    longest, top = 0, (0, ())
     queue: list = []
     counter = itertools.count()
+    inserted = itertools.count()
 
-    def push(g):
-        heapq.heappush(queue, (deglex_key(g.leading_word()), -next(counter), g))
+    def push(work):
+        heapq.heappush(queue, (max(work), -next(counter), work))
 
     for r in relations:
-        push(r)
-    tails: dict = {}  # leading word -> _tail of its rule
+        push(_work(r))
     while queue:
-        f = _reduce(heapq.heappop(queue)[2], tails)
-        if not f:
+        out = _reduce(heapq.heappop(queue)[2], tails, longest)
+        if not out:
             continue
-        f = f.monic()
-        lw = f.leading_word()
+        lw = next(iter(out))
         if not lw:
             raise IdealCollapse("ideal collapses: completion produced a nonzero constant")
+        n = len(lw)
         # re-queue any existing rule whose leading word contains the new one;
         # lw is irreducible, so no key equals it
-        for old in [w for w in rules if len(w) > len(lw) and _contains(w, lw)]:
-            push(rules.pop(old))
-            del tails[old]
-        # lw goes last in the order
-        rules[lw] = f
-        tails[lw] = _tail(f, lw)
-        n = len(lw)
+        if longest > n:
+            for old in [w for w in rules if len(w) > n and _contains(w, lw)]:
+                push(_work(rules.pop(old)))
+                del tails[old]
+                starts[old[0]].remove(old)
+                ends[old[-1]].remove(old)
+        # monic, and lw goes last in the order
+        nlc = negate(out.pop(lw))
+        tails[lw] = tail = tuple((w, divide(c, nlc)) for w, c in out.items())
+        rules[lw] = f = _rule(generators, lw, tail)
+        order[lw] = next(inserted)
+        starts.setdefault(lw[0], set()).add(lw)
+        ends.setdefault(lw[-1], set()).add(lw)
+        longest = max(longest, n)
         lw_later = set(lw[1:])  # letters that can start a word lw overlaps
         lw_earlier = set(lw[:-1])  # letters that can end a word overlapping lw
-        for w, g in rules.items():
+        if top <= (n, lw):
+            # no rule is above lw: visit only the rules lw can overlap
+            top = (n, lw)
+            found = set()
+            for a in lw_later:
+                found.update(starts.get(a, ()))
+            for a in lw_earlier:
+                found.update(ends.get(a, ()))
+            visit = sorted(found, key=order.__getitem__)
+        else:
+            visit = rules
+        for w in visit:
             # only a rule above lw in deglex can have a tail word containing lw
             above = w > lw if len(w) == n else len(w) > n
             if above and any(_contains(tw, lw) for tw, _ in tails[w]):
-                head = FreeElement.word(generators, w)
-                rules[w] = g = head + _reduce(g - head, tails)
-                tails[w] = _tail(g, w)
+                work = {(len(tw), tw): tc for tw, tc in tails[w]}
+                tails[w] = t = tuple(_reduce(work, tails, longest).items())
+                rules[w] = _rule(generators, w, t)
             # resolve overlaps with the new rule, degree-bounded
             if w[0] in lw_later:
-                for s_elem in _overlap_elements(lw, f, w, tails[w], degree_bound):
-                    push(s_elem)
+                for work in _overlap_elements(lw, f, w, tails[w], degree_bound):
+                    push(work)
             if w != lw and w[-1] in lw_earlier:
-                for s_elem in _overlap_elements(w, g, lw, tails[lw], degree_bound):
-                    push(s_elem)
+                for work in _overlap_elements(w, rules[w], lw, tail, degree_bound):
+                    push(work)
     return NcIdeal(generators, degree_bound, quadratic_flag(relations), rules, tails)
 
 
@@ -206,13 +262,14 @@ def _contains(word, sub):
 
 
 def _overlap_elements(w1, g1: FreeElement, w2, t2: tuple, bound: int):
-    """S-elements ``g1 * w2[k:] - w1[:-k] * g2`` from proper overlaps.
+    """Work dicts of the S-elements ``g1 * w2[k:] - w1[:-k] * g2`` from
+    proper overlaps.
 
     w1 is the leading word of the monic rule g1, and t2 is the tail of the
     monic rule g2 with leading word w2; a proper overlap is a suffix of w1
     of length k equal to a prefix of w2.  The overlap word cancels, so the
-    terms are g1's other words, then the tail's new words, with zeros
-    deleted, in that order.
+    terms are g1's other words with g1's coefficients, then the tail's new
+    words with the tail's, with zeros deleted, in that order.
     """
     out = []
     n1 = len(w1)
@@ -222,20 +279,25 @@ def _overlap_elements(w1, g1: FreeElement, w2, t2: tuple, bound: int):
         if n1 + len(w2) - k > bound:
             continue
         suffix, prefix = w2[k:], w1[:n1 - k]
-        terms = {w + suffix: c for w, c in g1.terms.items() if w != w1}
+        work = {}
+        for w, c in g1.terms.items():
+            if w != w1:
+                nw = w + suffix
+                work[(len(nw), nw)] = c.value
         for w, c in t2:
             nw = prefix + w
-            prev = terms.get(nw)
+            nkey = (len(nw), nw)
+            prev = work.get(nkey)
             if prev is None:
-                terms[nw] = c
+                work[nkey] = c
             else:
-                s = prev + c
+                s = plus(prev, c)
                 if s:
-                    terms[nw] = s
+                    work[nkey] = s
                 else:
-                    del terms[nw]
-        if terms:
-            out.append(FreeElement._raw(g1.generators, terms))
+                    del work[nkey]
+        if work:
+            out.append(work)
     return out
 
 
@@ -247,7 +309,8 @@ def normal_form(ideal: NcIdeal, f: FreeElement) -> FreeElement:
             f"degree {f.degree()} exceeds completion bound {ideal.degree_bound}; "
             "recomplete with a larger bound"
         )
-    return _reduce(f, ideal.tails)
+    out = _reduce(_work(f), ideal.tails, ideal.longest)
+    return FreeElement._raw(f.generators, {w: Scalar(c) for w, c in out.items()})
 
 
 def _live_successors(words, letters: int) -> list:

@@ -11,7 +11,9 @@ is unique, so equality of Scalars is equality of representations.  Each
 operator coerces its operand (a bool or a subclass of int or Fraction to the
 equal exact value), makes one call into ``ratfunc`` and wraps the result;
 Scalar also checks for division by zero and poles, and reads and prints the
-canonical strings.
+canonical strings.  ``Scalar.value`` is the field element itself, for a hot
+loop (``groebner.complete``) that computes with ``ratfunc`` directly and
+wraps only its results.
 """
 
 from __future__ import annotations
@@ -106,6 +108,11 @@ class Scalar:
                 f"non-canonical scalar string {echo(text)} (canonical form is {echo(str(s))})"
             )
         return s
+
+    @property
+    def value(self):
+        """The field element this Scalar holds: a Fraction or a RatFunc."""
+        return self._f
 
     # -- arithmetic --------------------------------------------------------
 

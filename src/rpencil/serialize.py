@@ -8,7 +8,10 @@ entry has one spelling.  Likewise a quadratic file's flag must be the one
 its relations determine.  A file holds only the fields its kind defines:
 an unknown field, or generators on a ``braid`` or ``rmatrix`` file, is
 rejected rather than dropped.  Schema violations raise FormatError carrying
-the path of the offending field.
+the path of the offending field.  A key from the input appears in that path
+as it is when it has at most 60 characters and needs no escape, and
+otherwise as its ``echo``, so every message is one short line; the path is
+built only for the error.
 
 A file repeats a few distinct scalars many times.  Each call of
 ``from_data`` keeps a ``{text: Scalar}`` dict, so it parses each distinct
@@ -60,28 +63,44 @@ def _scalar_out(c: Scalar, texts: dict) -> str:
         text = texts[c] = str(c)
     return text
 
-def _scalar_in(text, path: str, scalars: dict) -> Scalar:
+def _scalar_in(text, path: str, key, scalars: dict) -> Scalar:
+    """The scalar at ``path[key]``."""
     # the type check comes first: a list is unhashable
     if not isinstance(text, str):
-        raise FormatError(path, f"expected a scalar string, got {type(text).__name__}")
+        raise FormatError(_at(path, key), f"expected a scalar string, got {type(text).__name__}")
     c = scalars.get(text)
     if c is None:
         try:
             c = scalars[text] = Scalar.parse_canonical(text)
         except ScalarError as exc:
-            raise FormatError(path, str(exc)) from None
+            raise FormatError(_at(path, key), str(exc)) from None
     return c
 
 
+def _segment(key) -> str:
+    """A key from the input as a path segment: the key itself if ``echo``
+    would only quote it, else its echo, cut and with control characters
+    escaped, so a message stays one short line."""
+    key = str(key)
+    text = echo(key)
+    return key if text[1:-1] == key else text
+
+
+def _at(path: str, key) -> str:
+    """The path ``path[key]``; built only for an error, as it echoes the key."""
+    return f"{path}[{_segment(key)}]"
+
+
 def _indices(key, count: int, path: str, message: str) -> tuple:
-    """The count comma-separated integers of an index key, each spelled canonically."""
+    """The count comma-separated integers of the index key at ``path[key]``,
+    each spelled canonically."""
     parts = key.split(",") if isinstance(key, str) else []
     try:
         out = tuple(int(p) for p in parts)
     except ValueError:
-        raise FormatError(path, message) from None
+        raise FormatError(_at(path, key), message) from None
     if len(out) != count or any(str(i) != p for i, p in zip(out, parts)):
-        raise FormatError(path, message)
+        raise FormatError(_at(path, key), message)
     return out
 
 
@@ -111,12 +130,12 @@ def _mat_in(data, path: str, shape: tuple, scalars: dict, invertible: bool = Fal
         limit = f"its {len(entries)} entries and {MAX_SPARSE_ROWS}"
         raise FormatError(path, f"{nrows} rows exceed both {limit}")
     m = Mat(nrows, ncols)
+    where = f"{path}.entries"
     for key, text in entries.items():
-        here = f"{path}.entries[{key}]"
-        i, j = _indices(key, 2, here, "entry keys must look like 'row,col'")
+        i, j = _indices(key, 2, where, "entry keys must look like 'row,col'")
         if not (0 <= i < nrows and 0 <= j < ncols):
-            raise FormatError(here, "entry out of range")
-        m.set(i, j, _scalar_in(text, here, scalars))
+            raise FormatError(_at(where, key), "entry out of range")
+        m.set(i, j, _scalar_in(text, where, key, scalars))
     return m
 
 
@@ -126,11 +145,10 @@ def _vec_out(vec: dict, texts: dict) -> dict:
 def _vec_in(data, ambient: int, path: str, scalars: dict) -> dict:
     out = {}
     for key, text in _expect_dict(data, path).items():
-        here = f"{path}[{key}]"
-        (i,) = _indices(key, 1, here, "vector keys must be integers")
+        (i,) = _indices(key, 1, path, "vector keys must be integers")
         if not 0 <= i < ambient:
-            raise FormatError(here, "coordinate out of range")
-        out[i] = _scalar_in(text, here, scalars)
+            raise FormatError(_at(path, key), "coordinate out of range")
+        out[i] = _scalar_in(text, path, key, scalars)
     return out
 
 
@@ -188,7 +206,7 @@ def _terms_in(data, path: str, scalars: dict, label: str, bad_key: str, key_ok) 
         key, text = item
         if not key_ok(key):
             raise FormatError(here, bad_key)
-        key, c = tuple(key), _scalar_in(text, here, scalars)
+        key, c = tuple(key), _scalar_in(text, path, k, scalars)
         prev = terms.get(key)
         terms[key] = c if prev is None else prev + c
     return terms
@@ -210,7 +228,7 @@ def _expect(data, key, typ, path):
 def _only_fields(data: dict, fields: tuple, path: str) -> None:
     for key in data:
         if key not in fields:
-            raise FormatError(f"{path}.{key}", "unknown field")
+            raise FormatError(f"{path}.{_segment(key)}", "unknown field")
 
 def _expect_int(data, key, path):
     return _expect(data, key, int, path)
@@ -292,12 +310,13 @@ def from_data(data):
     if kind == "poisson":
         table = {}
         N = len(generators)
+        where = f"{path}.table"
         for key, val in _expect(payload, "table", dict, path).items():
-            here = f"{path}.table[{key}]"
-            i, j = _indices(key, 2, here, "table keys must look like 'i,j'")
+            i, j = _indices(key, 2, where, "table keys must look like 'i,j'")
             if not (0 <= i < j < N):
-                raise FormatError(here, "table keys must satisfy 0 <= i < j < dim")
-            table[(i, j)] = _poly_in(val, generators, here, scalars)
+                raise FormatError(_at(where, key), "table keys must satisfy 0 <= i < j < dim")
+            # a canonical key below dim is short, so it needs no echo
+            table[(i, j)] = _poly_in(val, generators, f"{where}[{key}]", scalars)
         return PoissonStructure(generators, table)
 
     if kind in ("braid", "rmatrix"):
@@ -322,7 +341,7 @@ def from_data(data):
         except ValueError as exc:
             raise FormatError(f"{path}.relations", str(exc)) from None
         if flag != pres.flag:
-            raise FormatError(f"{path}.flag", f"relations are {pres.flag}, not {flag!r}")
+            raise FormatError(f"{path}.flag", f"relations are {pres.flag}, not {echo(flag)}")
         return pres
 
     i_plus = _basis_in(_expect(payload, "i_plus", dict, path), f"{path}.i_plus", scalars)

@@ -196,6 +196,44 @@ def test_parse_oversized_scalar_exits_2(tmp_path, capsys, text, reason):
     assert lines[0].endswith(reason)
 
 
+def _unknown_field(name):
+    def edit(data):
+        data[name] = 1
+    return edit
+
+
+def _entry_key(key):
+    def edit(data):
+        data["payload"]["matrix"]["entries"][key] = "1"
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, start, reason",
+    [
+        pytest.param(_unknown_field("x\ny"), "error: $.'x\\ny': ", "unknown field",
+                     id="newline-field"),
+        pytest.param(_unknown_field("x" * 100_000), "error: $.'xxx", "unknown field",
+                     id="100000-character-field"),
+        pytest.param(_entry_key("9" * 100_000), "error: $.payload.matrix.entries['999",
+                     "entry keys must look like 'row,col'", id="100000-digit-entry-key"),
+    ],
+)
+def test_parse_echoes_path_segments_on_one_line(tmp_path, capsys, edit, start, reason):
+    # a key taken from the input is cut and its control characters escaped
+    # in the error's path, as an offending scalar is
+    data = serialize.to_data(hecke_s(2))
+    edit(data)
+    path = tmp_path / "braid.json"
+    path.write_text(json.dumps(data))
+    assert main(["parse", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and len(lines[0].encode()) < 300
+    assert lines[0].startswith(start) and lines[0].endswith(reason)
+
+
 @pytest.mark.parametrize(
     "exc",
     [PoleError("denominator of 1/(q - 2) vanishes at q=2"), RuntimeError("two\nlines")],

@@ -1,12 +1,16 @@
 import hashlib
 import heapq
+import inspect
 import itertools
+import random
+import sys
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpencil import groebner, ratfunc
 from rpencil.commpoly import GeneratorError
 from rpencil.freealg import FreeElement, deglex_key
 from rpencil.groebner import (
@@ -18,6 +22,7 @@ from rpencil.groebner import (
     _overlap_elements,
     _reduce,
     _word_count,
+    _work,
     complete,
     filtration_dims,
     hilbert,
@@ -162,14 +167,30 @@ def _reference_find_redex(word, rules, lengths):
     return None
 
 
+class _Lookups(dict):
+    """A dict that records every key looked up with ``in``."""
+
+    def __init__(self, keys):
+        super().__init__(dict.fromkeys(keys))
+        self.asked = []
+
+    def __contains__(self, key):
+        self.asked.append(key)
+        return super().__contains__(key)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sets(st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple), max_size=8),
-       st.lists(st.integers(0, 2), max_size=6).map(tuple))
-def test_find_redex_matches_reference(leading, word):
-    # leading words of mixed lengths: every workload's are of length 2 alone
-    rules = dict.fromkeys(leading)
+       st.lists(st.integers(0, 2), max_size=6).map(tuple), st.integers(0, 2))
+def test_find_redex_matches_reference(leading, word, slack):
+    # leading words of mixed lengths: every workload's are of length 2 alone;
+    # the bound may exceed the longest leading word, and no slice longer
+    # than the bound is tried
+    rules = _Lookups(leading)
     lengths = sorted({len(w) for w in leading}, reverse=True)
-    assert _find_redex(word, rules) == _reference_find_redex(word, rules, lengths)
+    longest = max(lengths, default=0) + slack
+    assert _find_redex(word, rules, longest) == _reference_find_redex(word, rules, lengths)
+    assert all(len(sub) <= longest for sub in rules.asked)
 
 
 @lru_cache(maxsize=None)
@@ -192,10 +213,12 @@ _WORDS = st.lists(st.integers(0, len(GENS4) - 1), max_size=3).map(tuple)
 def test_reduce_matches_reference(terms, which):
     ideal = _rule_systems()[which]
     f = FreeElement(GENS4, terms)
-    out = _reduce(f, ideal.tails)
-    assert out == _reference_reduce(f, ideal.rules)
-    # f itself when nothing reduces, else the words in descending deglex order
-    assert out is f or list(out.terms) == sorted(out.terms, key=deglex_key, reverse=True)
+    out = _reduce(_work(f), ideal.tails, ideal.longest)
+    # the words in descending deglex order
+    assert list(out) == sorted(out, key=deglex_key, reverse=True)
+    ref = _reference_reduce(f, ideal.rules)
+    assert FreeElement(GENS4, {w: Scalar(c) for w, c in out.items()}) == ref
+    assert list(normal_form(ideal, f).terms.items()) == [(w, Scalar(c)) for w, c in out.items()]
 
 
 # The S-element formula that _overlap_elements replaced: two products with
@@ -214,7 +237,16 @@ def _reference_overlap_elements(w1, g1, w2, g2, bound):
 
 
 def _reference_tail(g, lw):
-    return tuple((w, -c) for w, c in g.terms.items() if w != lw)
+    return tuple((w, (-c).value) for w, c in g.terms.items() if w != lw)
+
+
+def _terms(works):
+    """Work dicts of field elements as lists of (word, Scalar) pairs, in order."""
+    out = []
+    for work in works:
+        assert all(key == (len(key[1]), key[1]) for key in work)
+        out.append([(w, Scalar(c)) for (_, w), c in work.items()])
+    return out
 
 
 _SHORT_WORDS = [w for p in range(4) for w in itertools.product(range(2), repeat=p)]
@@ -238,12 +270,13 @@ def test_overlap_elements_match_reference(m1, m2, bound):
     new = _overlap_elements(w1, g1, w2, _reference_tail(g2, w2), bound)
     ref = _reference_overlap_elements(w1, g1, w2, g2, bound)
     # values and term order
-    assert [list(s.terms.items()) for s in new] == [list(s.terms.items()) for s in ref]
+    assert _terms(new) == [list(s.terms.items()) for s in ref]
 
 
 def test_rewriting_never_negates(monkeypatch):
     # the rules' tails carry the signs, so rewriting and S-elements only
-    # multiply and add
+    # multiply and add: once the tails exist, the field's negate and minus
+    # are refused, both in ratfunc and as groebner binds them
     ideal = complete([r.specialize(DEFAULT_ASSIGNMENT) for r in a0q(3).relations], 4)
     rules, tails = ideal.rules, ideal.tails
     gens = ideal.generators
@@ -254,15 +287,18 @@ def test_rewriting_never_negates(monkeypatch):
     assert any(overlaps)
 
     def refuse(*args):
-        raise AssertionError("Scalar negation or subtraction")
+        raise AssertionError("field negation or subtraction")
 
-    monkeypatch.setattr(Scalar, "__neg__", refuse)
-    monkeypatch.setattr(Scalar, "__sub__", refuse)
+    for name in ("negate", "minus"):
+        monkeypatch.setattr(ratfunc, name, refuse)
+        if hasattr(groebner, name):
+            monkeypatch.setattr(groebner, name, refuse)
     for w, ref in zip(words, reduced):
-        assert _reduce(FreeElement.word(gens, w), tails) == ref
+        out = _reduce(_work(FreeElement.word(gens, w)), tails, ideal.longest)
+        assert FreeElement(gens, {v: Scalar(c) for v, c in out.items()}) == ref
     for (w1, w2), ref in zip(pairs, overlaps):
         new = _overlap_elements(w1, rules[w1], w2, tails[w2], 4)
-        assert [list(s.terms.items()) for s in new] == [list(s.terms.items()) for s in ref]
+        assert _terms(new) == [list(s.terms.items()) for s in ref]
 
 
 # The word scan that _word_count replaced: test every word of the length.
@@ -294,7 +330,17 @@ def test_word_count_matches_scan(drawn):
 
 # The completion loop that complete replaced: inter-reduce every rule tail
 # against the enlarged system each time a rule is added, and try every pair
-# of rules for overlaps.
+# of rules for overlaps.  A rule's terms are in descending deglex order.
+def _leading_word(g):
+    return max(g.terms, key=deglex_key)
+
+
+def _descending(generators, terms, lc):
+    """The element sum(c / lc * w) with its words in descending deglex order."""
+    order = sorted(terms, key=deglex_key, reverse=True)
+    return FreeElement(generators, {w: terms[w] / lc for w in order})
+
+
 def _reference_complete(relations, degree_bound):
     generators = relations[0].generators
     rules: dict = {}
@@ -302,7 +348,7 @@ def _reference_complete(relations, degree_bound):
     counter = itertools.count()
 
     def push(g):
-        heapq.heappush(queue, (deglex_key(g.leading_word()), -next(counter), g))
+        heapq.heappush(queue, (deglex_key(_leading_word(g)), -next(counter), g))
 
     for r in relations:
         push(r)
@@ -310,8 +356,8 @@ def _reference_complete(relations, degree_bound):
         f = _reference_reduce(heapq.heappop(queue)[2], rules)
         if not f:
             continue
-        f = f.monic()
-        lw = f.leading_word()
+        lw = _leading_word(f)
+        f = _descending(generators, f.terms, f.terms[lw])
         if not lw:
             raise IdealCollapse("ideal collapses")
         for old in [w for w in rules if _contains(w, lw)]:
@@ -321,34 +367,28 @@ def _reference_complete(relations, degree_bound):
         for w in list(rules):
             tail = rules[w] - FreeElement.word(generators, w)
             red = _reference_reduce(tail, trial)
-            rules[w] = FreeElement.word(generators, w) + red
+            rules[w] = _descending(generators, (FreeElement.word(generators, w) + red).terms, 1)
             trial[w] = rules[w]
         rules[lw] = f
         for other_lw, other in list(rules.items()):
             for g1, g2 in [(f, other)] + ([(other, f)] if other_lw != lw else []):
                 for s_elem in _reference_overlap_elements(
-                    g1.leading_word(), g1, g2.leading_word(), g2, degree_bound
+                    _leading_word(g1), g1, _leading_word(g2), g2, degree_bound
                 ):
                     push(s_elem)
     return rules
 
 
 GENS3 = ("x", "y", "z")
-_WORDS3 = st.lists(st.integers(0, 2), max_size=2).map(tuple)
-_RELATIONS = st.lists(
-    st.dictionaries(_WORDS3, _COEFFS, min_size=1, max_size=4).map(
-        lambda terms: FreeElement(GENS3, terms)
-    ).filter(bool),
-    min_size=1,
-    max_size=4,
-)
 
 
 def _completion(relations, bound, fn):
+    """The rules in rule order, each with its terms in term order."""
     try:
-        return list(fn(relations, bound).items())
+        rules = fn(relations, bound)
     except IdealCollapse:
         return "collapse"
+    return [(lw, list(g.terms.items())) for lw, g in rules.items()]
 
 
 def test_tail_reduction_is_exercised():
@@ -356,8 +396,8 @@ def test_tail_reduction_is_exercised():
     # for zxzx, which contains zxxx
     x, y, z = (FreeElement.generator(GENS3, g) for g in GENS3)
     relations = [z * z - y * x, y * y - x * z, x * y - z - x]
-    rules = complete(relations, 4).rules
-    assert list(rules.items()) == list(_reference_complete(relations, 4).items())
+    new = _completion(relations, 4, lambda r, d: complete(r, d).rules)
+    assert new == _completion(relations, 4, _reference_complete)
 
 
 def test_subword_sets_follow_tail_reduction():
@@ -368,12 +408,71 @@ def test_subword_sets_follow_tail_reduction():
     one = FreeElement.constant(gens, 1)
     relations = [2 * (c * c) + 2 * (b * a) - a * b, b * b + 2 * one, d * b + 2 * a,
                  2 * (d * b) + a * c - c]
-    rules = complete(relations, 4).rules
-    assert list(rules.items()) == list(_reference_complete(relations, 4).items())
+    new = _completion(relations, 4, lambda r, d: complete(r, d).rules)
+    assert new == _completion(relations, 4, _reference_complete)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(_RELATIONS, st.integers(3, 4))
-def test_complete_matches_reference(relations, bound):
-    new = _completion(relations, bound, lambda r, d: complete(r, d).rules)
-    assert new == _completion(relations, bound, _reference_complete)
+_WORDS_TO_2 = [w for p in range(3) for w in itertools.product(range(3), repeat=p)]
+_CORPUS_COEFFS = [scalar(1), scalar(-1), scalar(2), scalar(3) / 7, scalar(-5) / 2, Q]
+
+
+def _mixed_relations(rng):
+    """2-4 relations over GENS3, each with a leading word of length 1 or 2
+    and up to 3 smaller words; their completions add rules of length 3."""
+    out = []
+    for _ in range(rng.randint(2, 4)):
+        length = rng.choice((1, 2, 2))
+        lw = rng.choice([w for w in _WORDS_TO_2 if len(w) == length])
+        smaller = [w for w in _WORDS_TO_2 if deglex_key(w) < deglex_key(lw)]
+        words = [lw] + rng.sample(smaller, min(len(smaller), rng.randint(0, 3)))
+        out.append(FreeElement(GENS3, {w: rng.choice(_CORPUS_COEFFS) for w in words}))
+    return out
+
+
+# a statement that only its path of complete runs
+_PATHS = {
+    "re-queue": "push(_work(rules.pop(old)))",
+    "full pass": "visit = rules",
+    "index-only pass": "visit = sorted(",
+    "tail re-reduction": "rules[w] = _rule(generators, w, t)",
+}
+
+
+def _path_lines():
+    lines, start = inspect.getsourcelines(complete)
+    return {path: start + next(i for i, line in enumerate(lines) if text in line)
+            for path, text in _PATHS.items()}
+
+
+def _lines_run(fn, *args):
+    """fn(*args), and the numbers of the lines that complete ran meanwhile."""
+    code, seen = complete.__code__, set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        return fn(*args), seen
+    finally:
+        sys.settrace(before)
+
+
+def test_complete_matches_reference():
+    # 120 relation sets whose leading words mix lengths 1-3; every path of
+    # complete runs on some of them.  Some draws with q in more coefficients
+    # take tens of seconds, so the seed is fixed
+    rng = random.Random(1)
+    lines = _path_lines()
+    runs = dict.fromkeys(lines, 0)
+    for _ in range(120):
+        relations, bound = _mixed_relations(rng), rng.choice((3, 4))
+        new, seen = _lines_run(
+            _completion, relations, bound, lambda r, d: complete(r, d).rules)
+        assert new == _completion(relations, bound, _reference_complete)
+        for path, line in lines.items():
+            runs[path] += line in seen
+    assert all(runs.values()), runs

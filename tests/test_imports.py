@@ -6,7 +6,8 @@ change without notice, so no other module may import it, either by
 Likewise only ``ratfunc`` knows how a field element is stored: no other
 module reads a RatFunc's ``numer`` or ``denom``, or reads or writes a
 Fraction's slots ``_numerator`` and ``_denominator``; within ``ratfunc``, only
-``_fraction`` writes them.  A RatFunc has no ``+ - * /`` or unary ``-``: the
+``_fraction`` writes them.  Only ``scalars`` reads a Scalar's slot ``_f``; the
+others read its field element as ``Scalar.value``.  A RatFunc has no ``+ - * /`` or unary ``-``: the
 field's arithmetic is ``ratfunc``'s five operations, one dispatch on the kind
 of operand.  Every module but ``__init__``, which re-exports, reads each name
 that its top-level imports bind.  Every private module-level function is
@@ -85,6 +86,15 @@ def test_module_touches_no_fraction_slots(module):
     named = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and node.value in _SLOTS]
     assert _attribute_uses(tree, _SLOTS) + named == []
+
+
+_NOT_SCALARS = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "scalars")
+
+
+@pytest.mark.parametrize("module", _NOT_SCALARS)
+def test_module_reads_no_scalar_slot(module):
+    # a Scalar's field element is read through ``Scalar.value``
+    assert _attribute_uses(_tree(module), ("_f",)) == []
 
 
 def test_only_the_fraction_helper_writes_fraction_slots():
@@ -213,7 +223,7 @@ _DEPENDS = {
     "commpoly": {"scalars"},
     "freealg": {"commpoly", "scalars"},
     "glie": {"freealg", "linalg", "poisson", "quadratic", "rmatrix", "scalars"},
-    "groebner": {"commpoly", "freealg"},
+    "groebner": {"commpoly", "freealg", "ratfunc", "scalars"},
     "linalg": {"scalars"},
     "poisson": {"commpoly", "scalars"},
     "quadratic": {"commpoly", "freealg", "groebner", "linalg", "poisson", "scalars"},

@@ -125,6 +125,14 @@ def test_quadratic_flag_must_match_relations(obj, flag):
     assert err.value.path == "$.payload.flag"
 
 
+def test_wrong_flag_echo_is_cut():
+    data = serialize.to_data(a0q(2))
+    data["payload"]["flag"] = "x" * 100_000
+    with pytest.raises(FormatError, match=r"not 'x{60}'\.\.\. \(100000 characters\)$") as err:
+        serialize.from_data(data)
+    assert len(str(err.value)) < 300
+
+
 @pytest.mark.parametrize("obj", [a0q(2), sd_quadratic(2), type2_bracket(2)],
                          ids=["quadratic", "poisson", "glie"])
 def test_repeated_generator_names_rejected(obj):
