@@ -40,22 +40,20 @@ and a rule whose leading word contains ``lw`` can exist only when
 ``longest > len(lw)``; only then does ``complete`` scan the rules to re-queue
 those.  ``top`` is the largest leading word ever inserted, under deglex.
 
-Per new rule, ``complete`` walks the rules in rule order: it re-reduces each
-tail that needs it and pushes the rule's S-elements with the new rule.  Those
-read only its final tail and the new rule, so no push depends on a later
-re-reduction.  When ``top`` is ``lw`` itself, no rule is above ``lw`` and no
-tail needs re-reducing, so the walk visits only the rules that the letter
-index ``starts``/``ends`` (letter -> leading words that start or end with
-it) offers for an overlap, sorted by insertion number, which is their rule
-order.  Otherwise the walk visits every rule.  Either walk pushes the same
-S-elements in the same order.
+Per new rule, ``complete`` first re-reduces each tail that needs it, and only
+when ``top`` is above ``lw``: otherwise no rule is above ``lw``.  It then
+pushes the S-elements of the new rule with each rule it can overlap.  The
+letter index ``starts``/``ends`` (letter -> leading words that start or end
+with it) offers those rules, and they are visited sorted by insertion
+number, which is their rule order.  An S-element reads only final tails,
+so every push comes after the last re-reduction.
 
 Overlaps: a proper overlap of ``w1`` with ``w2`` (a suffix of ``w1`` equal
 to a prefix of ``w2``) needs ``w2[0]`` in ``w1[1:]`` and ``w1[-1]`` in
 ``w2[:-1]``.  ``complete`` tests the letters of the new leading word ``lw``
-against each rule, ``other[0] in lw[1:]`` with ``lw`` first and
-``other[-1] in lw[:-1]`` with ``lw`` second, and hands only the pairs that
-pass to ``_overlap_elements``, in the order of the rules.
+against each rule the index offers, ``other[0] in lw[1:]`` with ``lw``
+first and ``other[-1] in lw[:-1]`` with ``lw`` second, and hands only the
+pairs that pass to ``_overlap_elements``, in the order of the rules.
 
 Word counts: a word is irreducible when no leading word is a subword of it,
 that is, when it never enters a dead state of the Aho-Corasick automaton
@@ -223,27 +221,24 @@ def complete(relations, degree_bound: int) -> NcIdeal:
         starts.setdefault(lw[0], set()).add(lw)
         ends.setdefault(lw[-1], set()).add(lw)
         longest = max(longest, n)
+        if top > (n, lw):
+            # only a rule above lw in deglex can have a tail word containing lw
+            for w, t in tails.items():
+                if (len(w), w) > (n, lw) and any(_contains(tw, lw) for tw, _ in t):
+                    work = {(len(tw), tw): tc for tw, tc in t}
+                    tails[w] = t = tuple(_reduce(work, tails, longest).items())
+                    rules[w] = _rule(generators, w, t)
+        else:
+            top = (n, lw)
+        # resolve overlaps with the new rule, degree-bounded, in rule order
         lw_later = set(lw[1:])  # letters that can start a word lw overlaps
         lw_earlier = set(lw[:-1])  # letters that can end a word overlapping lw
-        if top <= (n, lw):
-            # no rule is above lw: visit only the rules lw can overlap
-            top = (n, lw)
-            found = set()
-            for a in lw_later:
-                found.update(starts.get(a, ()))
-            for a in lw_earlier:
-                found.update(ends.get(a, ()))
-            visit = sorted(found, key=order.__getitem__)
-        else:
-            visit = rules
-        for w in visit:
-            # only a rule above lw in deglex can have a tail word containing lw
-            above = w > lw if len(w) == n else len(w) > n
-            if above and any(_contains(tw, lw) for tw, _ in tails[w]):
-                work = {(len(tw), tw): tc for tw, tc in tails[w]}
-                tails[w] = t = tuple(_reduce(work, tails, longest).items())
-                rules[w] = _rule(generators, w, t)
-            # resolve overlaps with the new rule, degree-bounded
+        found = set()
+        for a in lw_later:
+            found.update(starts.get(a, ()))
+        for a in lw_earlier:
+            found.update(ends.get(a, ()))
+        for w in sorted(found, key=order.__getitem__):
             if w[0] in lw_later:
                 for work in _overlap_elements(lw, f, w, tails[w], degree_bound):
                     push(work)

@@ -200,12 +200,11 @@ def _terms_in(data, path: str, scalars: dict, label: str, bad_key: str, key_ok) 
     are summed, and the element's constructor drops those that sum to zero."""
     terms: dict = {}
     for k, item in enumerate(_expect_list(data, path)):
-        here = f"{path}[{k}]"
         if not (isinstance(item, list) and len(item) == 2):
-            raise FormatError(here, f"expected [{label}, coefficient] pairs")
+            raise FormatError(_at(path, k), f"expected [{label}, coefficient] pairs")
         key, text = item
         if not key_ok(key):
-            raise FormatError(here, bad_key)
+            raise FormatError(_at(path, k), bad_key)
         key, c = tuple(key), _scalar_in(text, path, k, scalars)
         prev = terms.get(key)
         terms[key] = c if prev is None else prev + c

@@ -380,6 +380,14 @@ def _reference_complete(relations, degree_bound):
 
 
 GENS3 = ("x", "y", "z")
+_WORDS3 = st.lists(st.integers(0, 2), max_size=2).map(tuple)
+_RELATIONS = st.lists(
+    st.dictionaries(_WORDS3, _COEFFS, min_size=1, max_size=4).map(
+        lambda terms: FreeElement(GENS3, terms)
+    ).filter(bool),
+    min_size=1,
+    max_size=4,
+)
 
 
 def _completion(relations, bound, fn):
@@ -412,6 +420,13 @@ def test_subword_sets_follow_tail_reduction():
     assert new == _completion(relations, 4, _reference_complete)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_RELATIONS, st.integers(3, 4))
+def test_complete_matches_reference(relations, bound):
+    new = _completion(relations, bound, lambda r, d: complete(r, d).rules)
+    assert new == _completion(relations, bound, _reference_complete)
+
+
 _WORDS_TO_2 = [w for p in range(3) for w in itertools.product(range(3), repeat=p)]
 _CORPUS_COEFFS = [scalar(1), scalar(-1), scalar(2), scalar(3) / 7, scalar(-5) / 2, Q]
 
@@ -432,8 +447,8 @@ def _mixed_relations(rng):
 # a statement that only its path of complete runs
 _PATHS = {
     "re-queue": "push(_work(rules.pop(old)))",
-    "full pass": "visit = rules",
-    "index-only pass": "visit = sorted(",
+    "re-reduction scan": "for w, t in tails.items():",
+    "no rule above": "top = (n, lw)",
     "tail re-reduction": "rules[w] = _rule(generators, w, t)",
 }
 
@@ -461,18 +476,36 @@ def _lines_run(fn, *args):
         sys.settrace(before)
 
 
-def test_complete_matches_reference():
+def _pushes(relations, bound, fn):
+    """The completion, and the terms of every element it queued, in push order."""
+    pushed, push = [], heapq.heappush
+
+    def record(queue, item):
+        g = item[2]
+        pushed.append(dict(g.terms) if isinstance(g, FreeElement)
+                      else {w: Scalar(c) for (_, w), c in g.items()})
+        push(queue, item)
+
+    heapq.heappush = record
+    try:
+        return _completion(relations, bound, fn), pushed
+    finally:
+        heapq.heappush = push
+
+
+def test_complete_paths_match_reference():
     # 120 relation sets whose leading words mix lengths 1-3; every path of
-    # complete runs on some of them.  Some draws with q in more coefficients
-    # take tens of seconds, so the seed is fixed
+    # complete runs on some of them, and it queues the reference's elements
+    # in the reference's order.  Coefficients are constants and q, and the
+    # seed is fixed, so the sets are the same on every run
     rng = random.Random(1)
     lines = _path_lines()
     runs = dict.fromkeys(lines, 0)
     for _ in range(120):
         relations, bound = _mixed_relations(rng), rng.choice((3, 4))
         new, seen = _lines_run(
-            _completion, relations, bound, lambda r, d: complete(r, d).rules)
-        assert new == _completion(relations, bound, _reference_complete)
+            _pushes, relations, bound, lambda r, d: complete(r, d).rules)
+        assert new == _pushes(relations, bound, _reference_complete)
         for path, line in lines.items():
             runs[path] += line in seen
     assert all(runs.values()), runs
