@@ -5,11 +5,24 @@ reduced row-echelon bases, so equal subspaces have equal representations.
 All elimination goes through ``_reduce_row``.  ``rref`` keeps a column ->
 pivots index and back-substitutes a new pivot only into the rows it names,
 and ``kernel`` reads the reduced rows once.
+
+Blocks: ``blocks`` splits rows into the connected blocks of their column
+supports in one pass that merges the smaller block into the larger.  Rows
+of different blocks never meet in an elimination, so ``rref`` reduces each
+block alone, in the order of its rows, with the operations that one
+elimination of all rows performs on them: the RREF is unique, and every
+row, pivot and dict key order is the same.  A block whose rows equal an
+earlier block's of the same call, once both are written in local columns
+(the k-th smallest column is k, which keeps the columns' order), takes that
+block's result, copied into fresh dicts on its own columns.  The memo
+compares the sparsity pattern first and then the entries by ``==``, so it
+hashes no field element, and it lives for one call: it is no cache shared
+between callers.  A single block is reduced as the rows come.
 """
 
 from __future__ import annotations
 
-from .scalars import DEFAULT_ASSIGNMENT, ONE, ZERO, PoleError, Scalar, scalar
+from .scalars import DEFAULT_ASSIGNMENT, ONE, ZERO, PoleError, scalar
 
 
 class DimensionMismatch(Exception):
@@ -68,7 +81,16 @@ class Mat:
         return out
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self + (other * Scalar(-1))
+        self._same_shape(other)
+        out = self.copy()
+        for row, sub in zip(out.rows, other.rows):
+            for j, v in sub.items():
+                d = row.get(j, ZERO) - v
+                if d:
+                    row[j] = d
+                else:
+                    row.pop(j, None)
+        return out
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -175,9 +197,33 @@ def rref(rows, ncols):
     """Reduced row echelon form of sparse rows.
 
     Returns (reduced_rows, pivot_columns); reduced rows are sorted by pivot,
-    have pivot entry 1 and zeros above and below each pivot.
+    have pivot entry 1 and zeros above and below each pivot.  Each block of
+    ``blocks`` is reduced alone, and a block equal to an earlier one takes
+    that block's result in fresh dicts on its own columns.
     """
     basis: dict = {}  # pivot column -> reduced row
+    found = blocks(rows)
+    if len(found) < 2:
+        _eliminate(rows, basis)
+    else:
+        done = {}  # position of a block with new content -> its pivots and rows
+        for pos, (cols, indices, same) in enumerate(found):
+            if same == pos:
+                done[pos] = part = {}
+                _eliminate([rows[i] for i in indices], part)
+                basis.update(part)
+                continue
+            # the map between two equal blocks' columns keeps their order, so
+            # it carries one block's RREF, key order included, to the other
+            to = dict(zip(found[same][0], cols))
+            for p, row in done[same].items():
+                basis[to[p]] = {to[j]: v for j, v in row.items()}
+    pivots = sorted(basis)
+    return [basis[p] for p in pivots], pivots
+
+
+def _eliminate(rows, basis: dict) -> None:
+    """Reduce rows, in order, into ``basis`` (pivot column -> reduced row)."""
     holders: dict = {}  # column -> pivots whose row may be nonzero there
     for row in rows:
         row = _reduce_row(row, basis)
@@ -194,8 +240,57 @@ def rref(rows, ncols):
                 if j != piv:
                     holders.setdefault(j, set()).update(held, (piv,))
             basis[piv] = row
-    pivots = sorted(basis)
-    return [basis[p] for p in pivots], pivots
+
+
+def blocks(rows) -> list:
+    """The connected blocks of the rows' column supports.
+
+    Two columns share a block when a chain of rows links them, so rows of
+    different blocks never meet in an elimination.  Returns one
+    ``(columns, indices, same)`` per block, in the order of the blocks' first
+    rows: its columns in increasing order, the indices of its rows in input
+    order, and the position of the first block whose rows equal its own,
+    entry for entry and in dict order, once each block's k-th smallest
+    column is written k; a block with new content names its own position.
+    A row without entries lies in no block.
+    """
+    owner: dict = {}  # column -> its block's list of columns
+    for row in rows:
+        cols = []
+        for j in row:
+            other = owner.get(j)
+            if other is None:
+                cols.append(j)
+                owner[j] = cols
+            elif other is not cols:
+                if len(cols) < len(other):
+                    cols, other = other, cols
+                for k in other:
+                    owner[k] = cols
+                cols += other
+    by_id: dict = {}  # id of a block's column list -> (the list, its row indices)
+    for i, row in enumerate(rows):
+        if row:
+            cols = owner[next(iter(row))]
+            by_id.setdefault(id(cols), (cols, []))[1].append(i)
+    found = list(by_id.values())
+    if len(found) < 2:
+        return [(sorted(cols), indices, 0) for cols, indices in found]
+    # content: the local sparsity pattern first, then the entries
+    seen: dict = {}  # pattern -> [(entries, position)]
+    out = []
+    for pos, (cols, indices) in enumerate(found):
+        cols.sort()
+        local = {c: k for k, c in enumerate(cols)}.__getitem__
+        block = [rows[i] for i in indices]
+        pattern = tuple(tuple(map(local, row)) for row in block)
+        entries = [v for row in block for v in row.values()]
+        earlier = seen.setdefault(pattern, [])
+        same = next((at for other, at in earlier if other == entries), pos)
+        if same == pos:
+            earlier.append((entries, pos))
+        out.append((cols, indices, same))
+    return out
 
 
 def _reduce_row(row: dict, basis: dict) -> dict:

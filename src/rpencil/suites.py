@@ -21,7 +21,7 @@ from . import quadratic as _quadratic
 from . import rmatrix as _rmatrix
 from .commpoly import Poly
 from .freealg import FreeElement
-from .linalg import Mat, SubspaceBasis, complementary, image, rank_modulo_reaches
+from .linalg import Mat, SubspaceBasis, blocks, complementary, image, rank_modulo_reaches
 from .scalars import DEFAULT_ASSIGNMENT, H, LAM, ONE, Q, Scalar
 
 REPORT_SCHEMA = 1
@@ -365,15 +365,29 @@ def _overlap_certified(g) -> bool:
     (a) Every overlap row lies in I(x)V and in V(x)I, so the intersection has
     dimension at least k = dim overlap.  (b) The intersection has dimension
     N dim I - r, r the rank of V(x)I's rows modulo I(x)V; by (a) r is at most
-    N dim I - k, and r reaching it proves equality.
+    N dim I - k, and r reaching it proves equality.  Both are checked in each
+    block of the rows of I(x)V, V(x)I and the overlap together, with the
+    block's own counts: ranks add up over blocks, and (a) bounds each one.
+    A block equal to an earlier one, with the same counts, has its verdict.
     """
     i, overlap = g.i_minus, g.overlap
+    d = g.dim * i.ambient_dim
     first, last = Mat(i.dim, i.ambient_dim, i.rows).legs(g.dim)
-    left = SubspaceBasis(g.dim * i.ambient_dim, first.rows)
-    right = SubspaceBasis(g.dim * i.ambient_dim, last.rows)
-    return all(
-        left.contains(row) and right.contains(row) for row in overlap.rows
-    ) and rank_modulo_reaches(right.rows, left, g.dim * i.dim - overlap.dim)
+    rows = first.rows + last.rows + overlap.rows
+    verdicts: dict = {}  # (position of equal content, counts) -> verdict
+    for _, indices, same in blocks(rows):
+        sides = ([], [], [])  # the block's rows of I(x)V, V(x)I and the overlap
+        for k in indices:
+            sides[(k >= first.nrows) + (k >= first.nrows + last.nrows)].append(rows[k])
+        key = (same, len(sides[0]), len(sides[1]))
+        if key not in verdicts:
+            left, right = (SubspaceBasis(d, side) for side in sides[:2])
+            verdicts[key] = all(
+                left.contains(row) and right.contains(row) for row in sides[2]
+            ) and rank_modulo_reaches(right.rows, left, len(sides[1]) - len(sides[2]))
+        if not verdicts[key]:
+            return False
+    return True
 
 
 def _symbolic_i_minus(s):

@@ -14,8 +14,9 @@ that its top-level imports bind.  Every private module-level function is
 named in ``src`` outside its own body, so no helper stays there for the
 tests alone; so is every public function and method, outside ``__init__``
 too, except the few listed with their reason; a method counts as named only
-where it is read as an attribute.  The rpencil modules that each module
-imports are pinned in one table.
+where it is read as an attribute.  No module-level function or method
+carries a ``cache`` or ``lru_cache`` decorator.  The rpencil modules that
+each module imports are pinned in one table.
 """
 
 import ast
@@ -212,6 +213,38 @@ def _uncalled_public_functions(module):
 @pytest.mark.parametrize("module", _NOT_INIT)
 def test_public_function_has_a_caller(module):
     assert _uncalled_public_functions(module) == []
+
+
+def _decorator_name(node):
+    """The bare name of a decorator: ``cache`` for ``@functools.cache``,
+    ``lru_cache`` for ``@lru_cache(maxsize=None)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _cached_functions(module):
+    """The module-level functions and methods of module-level classes that
+    carry a ``cache`` or ``lru_cache`` decorator."""
+    body = _tree(module).body
+    nodes = [("", node) for node in body] + [
+        (f"{cls.name}.", node) for cls in body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+    ]
+    return [
+        prefix + fn.name for prefix, fn in nodes
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_decorator_name(d) in ("cache", "lru_cache") for d in fn.decorator_list)
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_function_is_cached(module):
+    # no builder cache: a cached result is shared with every later caller, so
+    # one caller's edit could change a later report.  A cache that lives
+    # inside one call, such as the one in QuadraticPresentation.specialize,
+    # and cached_property, whose value belongs to its instance, stay allowed
+    assert _cached_functions(module) == []
 
 
 # the rpencil modules each module imports; a new edge between modules is a

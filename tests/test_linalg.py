@@ -49,6 +49,23 @@ def test_shape_mismatch():
         complementary(SubspaceBasis(2, []), SubspaceBasis(3, []))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_sub_is_adding_the_negative(nrows, ncols, data):
+    # b copies some of a's entries, so that a - b cancels them, and holds
+    # explicit zeros; the difference keeps a + (-1) b's values and key order
+    entry = st.dictionaries(st.integers(0, ncols - 1), _INTEGER | _Q_LINEAR, max_size=ncols)
+    a = Mat(nrows, ncols, data.draw(st.lists(entry, min_size=nrows, max_size=nrows)))
+    b = Mat(nrows, ncols, [
+        {**data.draw(entry), **{j: v for j, v in row.items() if data.draw(st.booleans())}}
+        for row in a.rows
+    ])
+    before = [list(row.items()) for row in a.rows + b.rows]
+    diff, ref = a - b, a + b * Scalar(-1)
+    assert [list(row.items()) for row in diff.rows] == [list(row.items()) for row in ref.rows]
+    assert [list(row.items()) for row in a.rows + b.rows] == before
+
+
 def test_transpose_kron():
     a = dense([[1, 2], [3, 4]])
     assert a.transpose().transpose() == a
@@ -238,6 +255,57 @@ def test_rref_back_substitutes_into_filled_in_columns():
     reduced, pivots = _reference_rref(rows, 4)
     assert pivots == [0, 1, 2, 3] and reduced == [{j: ONE} for j in range(4)]
     assert rref(rows, 4) == (reduced, pivots)
+
+
+@st.composite
+def _block_system(draw):
+    # block contents in local columns, placed once or more on disjoint global
+    # columns drawn at random, so that a copy's columns may come in another
+    # order than its first placement's; rows of all copies interleaved, with
+    # empty rows, and zero entries allowed
+    contents = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 3))
+        row = st.dictionaries(st.integers(0, k - 1), _INTEGER | _Q_LINEAR, min_size=1, max_size=k)
+        contents.append((k, draw(st.lists(row, min_size=1, max_size=4))))
+    placed = draw(st.lists(st.sampled_from(contents), min_size=1, max_size=5))
+    ncols = sum(k for k, _ in placed) + draw(st.integers(0, 2))
+    free = draw(st.permutations(range(ncols)))
+    rows = [{} for _ in range(draw(st.integers(0, 2)))]
+    for k, block in placed:
+        cols, free = free[:k], free[k:]
+        rows.extend({cols[j]: v for j, v in row.items()} for row in block)
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_block_system())
+def test_blocked_rref_matches_reference(system):
+    rows, ncols = system
+    before = [list(row.items()) for row in rows]
+    reduced, pivots = rref(rows, ncols)
+    assert (reduced, pivots) == _reference_rref(rows, ncols)
+    # every row's key order is that of one elimination of all the rows
+    whole: dict = {}
+    linalg._eliminate(rows, whole)
+    assert [list(row.items()) for row in reduced] == [list(whole[p].items()) for p in pivots]
+    # rref never writes its input rows, and every returned row is its own dict
+    assert [list(row.items()) for row in rows] == before
+    assert len({id(row) for row in reduced}) == len(reduced)
+
+
+def test_blocked_rref_returns_fresh_rows():
+    # two equal blocks on columns {0, 1} and {2, 3}: the second block's rows
+    # come from the first one's through the memo
+    rows = [{0: scalar(2), 1: Q}, {2: scalar(2), 3: Q}]
+    expected = ([{0: ONE, 1: Q / 2}, {2: ONE, 3: Q / 2}], [0, 2])
+    assert [same for _, _, same in linalg.blocks(rows)] == [0, 0]
+    reduced, _ = rref(rows, 4)
+    assert reduced == expected[0]
+    reduced[0][1] = scalar(5)
+    assert reduced[1] == {2: ONE, 3: Q / 2}
+    reduced[1].clear()
+    assert rref(rows, 4) == expected
 
 
 def _reference_kernel(m):

@@ -484,10 +484,27 @@ def _mutated_file(draw):
     return data
 
 
-def _check_only_format_errors(data):
+@st.composite
+def _edited_text(draw):
+    """A canonical file's text with one to three characters replaced,
+    inserted or deleted."""
+    text = serialize.dumps(draw(st.sampled_from(_FUZZ_OBJECTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(text) - 1))
+        new = draw(st.sampled_from(["", *'{}[]",:-/*+0129qhlam x\n\x00\u0660']))
+        cut = draw(st.integers(0, 1))
+        text = text[:pos] + new + text[pos + cut:]
+    return text
+
+
+def _check_only_format_errors(text):
+    """loads either raises a FormatError of one line under 300 bytes, or
+    gives an object whose canonical text dumps reads back unchanged."""
     try:
-        obj = serialize.from_data(data)
-    except FormatError:
+        obj = serialize.loads(text)
+    except FormatError as err:
+        message = str(err)
+        assert "\n" not in message and len(message.encode()) < 300
         return
     text = serialize.dumps(obj)
     assert serialize.dumps(serialize.loads(text)) == text
@@ -499,10 +516,16 @@ _FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 @_FUZZ
 @given(_JSON | _FILE)
 def test_fuzz_random_trees(data):
-    _check_only_format_errors(data)
+    _check_only_format_errors(json.dumps(data))
 
 
 @_FUZZ
 @given(_mutated_file())
 def test_fuzz_mutated_canonical_files(data):
-    _check_only_format_errors(data)
+    _check_only_format_errors(json.dumps(data))
+
+
+@_FUZZ
+@given(_edited_text())
+def test_fuzz_edited_canonical_text(text):
+    _check_only_format_errors(text)

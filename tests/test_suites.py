@@ -7,6 +7,7 @@ import pytest
 from rpencil import glie, poisson, quadratic, rmatrix
 from rpencil.cli import main
 from rpencil.freealg import FreeElement
+from rpencil.linalg import SubspaceBasis
 from rpencil.poisson import PoissonStructure
 from rpencil.quadratic import QuadraticPresentation
 from rpencil.scalars import DEFAULT_ASSIGNMENT, Scalar
@@ -276,17 +277,30 @@ def _add_aa_to_first_relation(build):
     return defective
 
 
+def _bump_first_overlap_row(build):
+    """An overlap space whose first row has 1 added to its last entry.  The
+    row keeps its support, so it stays in its block of the certificate's
+    rows and leaves that block's span."""
+    def defective(i):
+        s = build(i)
+        row = dict(s.rows[0])
+        last = next(reversed(row))
+        row[last] += 1
+        return SubspaceBasis(s.ambient_dim, [row, *s.rows[1:]])
+    return defective
+
+
 # One defect planted in a builder that the suites call, at n=2 fast, and the
 # checks it fails.  Two checks no defect can fail, by construction:
 # vanishes-on-i-plus (a bracket that does not vanish on I_plus is never built)
 # and printed-table-diff (informational).  No row reaches these yet:
 # schouten-nonzero-sl2..4, sp2-closes, sp4-closes, sp2-poisson,
 # sp2-compatible-symplectic, jacobi-linear, gl-not-compatible,
-# eigen-direct-sum, overlap-oracle-agreement, axiom-7, axiom-8,
-# enveloping-ideal, table-vanishes-at-classical-point and
-# jacobi-form-rejects-random.  The classical_glie defect adds x_0 to
-# [x_0, x_1] and subtracts it from [x_1, x_0] (column N = 4), so the bracket
-# still vanishes on the symmetric I_plus.
+# eigen-direct-sum, axiom-8, enveloping-ideal,
+# table-vanishes-at-classical-point and jacobi-form-rejects-random.  The
+# classical_glie defect adds x_0 to [x_0, x_1] and subtracts it from
+# [x_1, x_0] (column N = 4), so the bracket still vanishes on the symmetric
+# I_plus.
 _PLANTED = [
     ("quantum-type2", rmatrix, "hecke_s", _add_entries("mat", (0, 0, 1)),
      {"qybe", "hecke-relation", "s-matrix-reference", "qybe-induced", "eigen-dimensions",
@@ -312,6 +326,8 @@ _PLANTED = [
      {"jacobi-form-classical"}),
     ("quantum-type2", quadratic, "a0q", _add_aa_to_first_relation,
      {"relation-span", "graded-flatness", "filtered-flatness-pbw", "diagonal-shift"}),
+    ("glie", glie, "overlap_space", _bump_first_overlap_row,
+     {"overlap-oracle-agreement", "axiom-7", "display-elements-in-overlap"}),
 ]
 
 
