@@ -34,12 +34,11 @@ reducible where one of its words contains ``lw``.  Such a word is at least
 ``lw`` in deglex, and a tail word is smaller than its rule's leading word,
 so only the tails of rules above ``lw`` are searched.
 
-Bounds: ``longest`` and ``shortest`` are the lengths of the longest and
-the shortest leading word ever inserted.  No leading word is longer or
-shorter, so ``_find_redex`` tries no slice outside them, and a rule whose
-leading word contains ``lw`` can exist only when ``longest > len(lw)``; only
-then does ``complete`` scan the rules to re-queue those.  ``top`` is the
-largest leading word ever inserted, under deglex.
+Bounds: ``longest`` is the length of the longest leading word ever inserted.
+No leading word is longer, so ``_find_redex`` tries no slice longer than it,
+and a rule whose leading word contains ``lw`` can exist only when
+``longest > len(lw)``; only then does ``complete`` scan the rules to re-queue
+those.  ``top`` is the largest leading word ever inserted, under deglex.
 
 Per new rule, ``complete`` first re-reduces each tail that needs it, and only
 when ``top`` is above ``lw``: otherwise no rule is above ``lw``.  It then
@@ -89,9 +88,7 @@ class NcIdeal:
     words of each length is counted once and kept.
     """
 
-    __slots__ = (
-        "generators", "degree_bound", "flag", "rules", "tails", "shortest", "longest", "_counts"
-    )
+    __slots__ = ("generators", "degree_bound", "flag", "rules", "tails", "longest", "_counts")
 
     def __init__(self, generators, degree_bound, flag, rules, tails):
         self.generators = tuple(generators)
@@ -99,9 +96,7 @@ class NcIdeal:
         self.flag = flag
         self.rules = rules  # leading word -> monic FreeElement
         self.tails = tails  # leading word -> ((word, -coeff), ...) of the rule, field elements
-        # lengths of the shortest and the longest leading word
-        self.shortest = min(map(len, rules), default=1)
-        self.longest = max(map(len, rules), default=0)
+        self.longest = max(map(len, rules), default=0)  # length of the longest leading word
         self._counts = []  # word length -> number of irreducible words
 
 
@@ -118,19 +113,19 @@ def _rule(generators, lw, tail) -> FreeElement:
     return FreeElement._raw(generators, terms)
 
 
-def _reduce(work: dict, tails: dict, shortest: int, longest: int) -> dict:
+def _reduce(work: dict, tails: dict, longest: int) -> dict:
     """Normal form of a work dict, which it consumes (deterministic strategy).
 
-    ``tails`` maps each leading word to its rule's tail, and every leading
-    word has a length from ``shortest`` to ``longest``.  The result maps
-    words to field elements in descending deglex order.
+    ``tails`` maps each leading word to its rule's tail, and no leading word
+    is longer than ``longest``.  The result maps words to field elements in
+    descending deglex order.
     """
     out = {}
     while work:
         key = max(work)
         c = work.pop(key)
         w = key[1]
-        hit = _find_redex(w, tails, shortest, longest)
+        hit = _find_redex(w, tails, longest)
         if hit is None:
             out[w] = c
             continue
@@ -151,12 +146,12 @@ def _reduce(work: dict, tails: dict, shortest: int, longest: int) -> dict:
     return out
 
 
-def _find_redex(word, rules, shortest: int, longest: int):
+def _find_redex(word, rules, longest: int):
     """The leftmost leading word in word, the longest among those starting
-    there; every leading word has a length from ``shortest`` to ``longest``."""
+    there; no leading word is longer than ``longest``."""
     n = len(word)
-    for pos in range(n - shortest + 1):
-        for end in range(min(n, pos + longest), pos + shortest - 1, -1):
+    for pos in range(n):
+        for end in range(min(n, pos + longest), pos, -1):
             sub = word[pos:end]
             if sub in rules:
                 return pos, sub
@@ -192,8 +187,7 @@ def complete(relations, degree_bound: int) -> NcIdeal:
     order: dict = {}  # leading word -> insertion number, increasing in rule order
     starts: dict = {}  # letter -> leading words that start with it
     ends: dict = {}  # letter -> leading words that end with it
-    # no leading word is longer than the degree bound
-    shortest, longest, top = degree_bound, 0, (0, ())
+    longest, top = 0, (0, ())
     queue: list = []
     counter = itertools.count()
     inserted = itertools.count()
@@ -204,7 +198,7 @@ def complete(relations, degree_bound: int) -> NcIdeal:
     for r in relations:
         push(_work(r))
     while queue:
-        out = _reduce(heapq.heappop(queue)[2], tails, shortest, longest)
+        out = _reduce(heapq.heappop(queue)[2], tails, longest)
         if not out:
             continue
         lw = next(iter(out))
@@ -226,13 +220,13 @@ def complete(relations, degree_bound: int) -> NcIdeal:
         order[lw] = next(inserted)
         starts.setdefault(lw[0], set()).add(lw)
         ends.setdefault(lw[-1], set()).add(lw)
-        shortest, longest = min(shortest, n), max(longest, n)
+        longest = max(longest, n)
         if top > (n, lw):
             # only a rule above lw in deglex can have a tail word containing lw
             for w, t in tails.items():
                 if (len(w), w) > (n, lw) and any(_contains(tw, lw) for tw, _ in t):
                     work = {(len(tw), tw): tc for tw, tc in t}
-                    tails[w] = t = tuple(_reduce(work, tails, shortest, longest).items())
+                    tails[w] = t = tuple(_reduce(work, tails, longest).items())
                     rules[w] = _rule(generators, w, t)
         else:
             top = (n, lw)
@@ -310,7 +304,7 @@ def normal_form(ideal: NcIdeal, f: FreeElement) -> FreeElement:
             f"degree {f.degree()} exceeds completion bound {ideal.degree_bound}; "
             "recomplete with a larger bound"
         )
-    out = _reduce(_work(f), ideal.tails, ideal.shortest, ideal.longest)
+    out = _reduce(_work(f), ideal.tails, ideal.longest)
     return FreeElement._raw(f.generators, {w: Scalar(c) for w, c in out.items()})
 
 

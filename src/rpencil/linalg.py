@@ -17,7 +17,8 @@ earlier block's of the same call, once both are written in local columns
 block's result, copied into fresh dicts on its own columns.  The memo
 compares the sparsity pattern first and then the entries by ``==``, so it
 hashes no field element, and it lives for one call: it is no cache shared
-between callers.  A single block is reduced as the rows come.
+between callers.  ``blocks`` builds no content key when it finds a single
+block.
 """
 
 from __future__ import annotations
@@ -203,21 +204,18 @@ def rref(rows, ncols):
     """
     basis: dict = {}  # pivot column -> reduced row
     found = blocks(rows)
-    if len(found) < 2:
-        _eliminate(rows, basis)
-    else:
-        done = {}  # position of a block with new content -> its pivots and rows
-        for pos, (cols, indices, same) in enumerate(found):
-            if same == pos:
-                done[pos] = part = {}
-                _eliminate([rows[i] for i in indices], part)
-                basis.update(part)
-                continue
-            # the map between two equal blocks' columns keeps their order, so
-            # it carries one block's RREF, key order included, to the other
-            to = dict(zip(found[same][0], cols))
-            for p, row in done[same].items():
-                basis[to[p]] = {to[j]: v for j, v in row.items()}
+    done = {}  # position of a block with new content -> its pivots and rows
+    for pos, (cols, indices, same) in enumerate(found):
+        if same == pos:
+            done[pos] = part = {}
+            _eliminate([rows[i] for i in indices], part)
+            basis.update(part)
+            continue
+        # the map between two equal blocks' columns keeps their order, so
+        # it carries one block's RREF, key order included, to the other
+        to = dict(zip(found[same][0], cols))
+        for p, row in done[same].items():
+            basis[to[p]] = {to[j]: v for j, v in row.items()}
     pivots = sorted(basis)
     return [basis[p] for p in pivots], pivots
 

@@ -181,18 +181,16 @@ class _Lookups(dict):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sets(st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple), max_size=8),
-       st.lists(st.integers(0, 2), max_size=6).map(tuple), st.integers(0, 2), st.integers(0, 2))
-def test_find_redex_matches_reference(leading, word, slack, short_slack):
+       st.lists(st.integers(0, 2), max_size=6).map(tuple), st.integers(0, 2))
+def test_find_redex_matches_reference(leading, word, slack):
     # leading words of mixed lengths: every workload's are of length 2 alone;
-    # the bounds may lie outside the lengths of the leading words, as after a
-    # rule is re-queued, and no slice outside the bounds is tried
+    # the bound may exceed the longest leading word, and no slice longer
+    # than the bound is tried
     rules = _Lookups(leading)
     lengths = sorted({len(w) for w in leading}, reverse=True)
-    shortest = max(1, min(lengths, default=1) - short_slack)
     longest = max(lengths, default=0) + slack
-    found = _find_redex(word, rules, shortest, longest)
-    assert found == _reference_find_redex(word, rules, lengths)
-    assert all(shortest <= len(sub) <= longest for sub in rules.asked)
+    assert _find_redex(word, rules, longest) == _reference_find_redex(word, rules, lengths)
+    assert all(len(sub) <= longest for sub in rules.asked)
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +213,7 @@ _WORDS = st.lists(st.integers(0, len(GENS4) - 1), max_size=3).map(tuple)
 def test_reduce_matches_reference(terms, which):
     ideal = _rule_systems()[which]
     f = FreeElement(GENS4, terms)
-    out = _reduce(_work(f), ideal.tails, ideal.shortest, ideal.longest)
+    out = _reduce(_work(f), ideal.tails, ideal.longest)
     # the words in descending deglex order
     assert list(out) == sorted(out, key=deglex_key, reverse=True)
     ref = _reference_reduce(f, ideal.rules)
@@ -296,7 +294,7 @@ def test_rewriting_never_negates(monkeypatch):
         if hasattr(groebner, name):
             monkeypatch.setattr(groebner, name, refuse)
     for w, ref in zip(words, reduced):
-        out = _reduce(_work(FreeElement.word(gens, w)), tails, ideal.shortest, ideal.longest)
+        out = _reduce(_work(FreeElement.word(gens, w)), tails, ideal.longest)
         assert FreeElement(gens, {v: Scalar(c) for v, c in out.items()}) == ref
     for (w1, w2), ref in zip(pairs, overlaps):
         new = _overlap_elements(w1, rules[w1], w2, tails[w2], 4)
