@@ -12,8 +12,8 @@ Jacobi and compatibility are read from the Schouten bracket of two tables,
 scattered from the table entries: each nonzero product of an entry of one
 table with a derivative of an entry of the other is added into its triple,
 so the work follows the nonzero products, not the triples.  ``is_poisson``
-tests [P,P] = 0 and ``are_compatible`` tests [P1,P2] = 0, each naming the
-first nonzero component i<j<k as its witness.
+tests [P,P] = 0 and ``are_compatible`` tests [P1,P2] = 0; ``verdict`` reads
+either, naming the first nonzero component i<j<k as its witness.
 
 Builders cover the quadratic matrix bracket, its linearization, the gl(n)
 Poisson-Lie bracket, constant symplectic brackets and brackets induced by
@@ -82,7 +82,7 @@ class PoissonStructure:
 
     def is_poisson(self):
         """(True, None) or (False, witness generator-name triple)."""
-        return _verdict(self.generators, schouten_bracket(self, self))
+        return verdict(self.generators, schouten_bracket(self, self))
 
     def __eq__(self, other):
         if not isinstance(other, PoissonStructure):
@@ -125,7 +125,7 @@ def schouten_bracket(p1: PoissonStructure, p2: PoissonStructure) -> dict:
     return {key: out[key] for key in sorted(out) if out[key]}
 
 
-def _verdict(generators, components: dict):
+def verdict(generators, components: dict):
     """(True, None) if no component is nonzero, else (False, first key's names)."""
     for key in components:
         return False, tuple(generators[i] for i in key)
@@ -134,7 +134,7 @@ def _verdict(generators, components: dict):
 
 def are_compatible(p1: PoissonStructure, p2: PoissonStructure):
     """(True, None) or (False, witness generator-name triple)."""
-    return _verdict(p1.generators, schouten_bracket(p1, p2))
+    return verdict(p1.generators, schouten_bracket(p1, p2))
 
 
 def pencil(p1: PoissonStructure, p2: PoissonStructure, a, b) -> PoissonStructure:

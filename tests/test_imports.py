@@ -183,6 +183,8 @@ _UNCALLED_PUBLIC = {
     "linalg.intersect",
     # the tests' reference for the Leibniz rule, and a perfbench/spans.py target
     "poisson.PoissonStructure.bracket",
+    # the tests' reference for the pencil's trivector (bilinearity)
+    "poisson.pencil",
 }
 
 

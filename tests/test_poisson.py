@@ -220,6 +220,26 @@ def test_schouten_matches_leibniz(pair):
         assert all(components.values())
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("x", "y", "z"), ("x", "y", "z", "w")]).flatmap(
+    lambda gens: st.tuples(_tables(gens), _tables(gens))), st.integers(-3, 3), st.integers(-3, 3))
+def test_pencil_trivector_is_bilinear(pair, a, b):
+    # pencil-type2 reads every pencil's [P,P] from these three trivectors
+    p1, p2 = pair
+    zero = Poly.zero(p1.generators)
+    s11, s12, s22 = (schouten_bracket(*p) for p in ((p1, p1), (p1, p2), (p2, p2)))
+    combined = {}
+    for key in sorted(s11.keys() | s12.keys() | s22.keys()):
+        value = (a * a * s11.get(key, zero) + 2 * a * b * s12.get(key, zero)
+                 + b * b * s22.get(key, zero))
+        if value:
+            combined[key] = value
+    pc = pencil(p1, p2, a, b)
+    components = schouten_bracket(pc, pc)
+    assert components == combined
+    assert list(components) == list(combined)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_matrix_pairs_match_row_column_definitions(n):
     # a_u = a_{r_u}^{c_u}, row-major; checked against the definitions written

@@ -6,6 +6,7 @@ import pytest
 
 from rpencil import glie, poisson, quadratic, rmatrix
 from rpencil.cli import main
+from rpencil.commpoly import Poly
 from rpencil.freealg import FreeElement
 from rpencil.linalg import SubspaceBasis
 from rpencil.poisson import PoissonStructure
@@ -113,6 +114,23 @@ def test_glie_builds_one_overlap_space(monkeypatch):
     assert len(calls) == 1
 
 
+def test_pencil_type2_computes_three_trivectors_and_one_gl_bracket(monkeypatch):
+    # [Q,Q], [L,L] and [L,Q] settle Jacobi, compatibility and every random
+    # pencil by bilinearity; gl-not-compatible reads one [gl, Q] at n=2
+    real = poisson.schouten_bracket
+    calls = []
+
+    def counted(p1, p2):
+        calls.append((p1, p2))
+        return real(p1, p2)
+
+    monkeypatch.setattr(poisson, "schouten_bracket", counted)
+    text = json.dumps(run_suite("pencil-type2", 3, None, "fast", 0), sort_keys=True, indent=2)
+    digest = hashlib.sha256((text + "\n").encode()).hexdigest()
+    assert digest == _REPORT_SHA256[("pencil-type2", 3, "fast")]
+    assert len(calls) == 4
+
+
 def test_glie_runs_make_no_intersect_call(monkeypatch):
     # the overlap-oracle-agreement check certifies the overlap by a rank
     # test; the Zassenhaus intersection is a reference for the tests only
@@ -194,6 +212,8 @@ _REPORT_SHA256 = {
     ("pencil-type2", 4, "exact"): "fdbc9f57f1450ff488df2244b5145150baab4adca27af2596509edb1967f5d31",
     ("pencil-type2", 5, "fast"): "f0500ce807be00fbeec7edc83eb379d17dfe3ac7ab9bfb14fa9ffbc18ec3f1b4",
     ("pencil-type2", 5, "exact"): "c8b41e909eaa215a81b9083a99c91749ef20bd85536423f2c9da8be9a63ed164",
+    ("pencil-type2", 6, "fast"): "fe26a602e60b674635ae9681c85cab4feb06f9e8c7abcaa406abcccabe418697",
+    ("pencil-type2", 6, "exact"): "e87179bac42b06cea983becbf1f02c903d89e8db86f2568cca80df6135ee763c",
     ("quantum-type2", 2, "exact"): "4d79ed030848fb2b9c46550bfa65ba9b6c6a412eb879130a1fbdfa6ecaeeff1d",
     ("quantum-type2", 2, "fast"): "4aefdd939f88d65466a746c07f2a8f632343afb0bd8cba624ffb2fea572ce1f1",
     ("quantum-type2", 3, "exact"): "3da0c4a96572a609f91ddbd688ea675cb4c9eb4b795be16c42d3c20b0557b98e",
@@ -268,6 +288,24 @@ def _scale_first_pair(k):
     return defect
 
 
+def _add_generator(i, j, name):
+    """A Poisson builder with generator name added to its table entry (i, j)."""
+    def defect(build):
+        def defective(n):
+            p = build(n)
+            g = Poly.generator(p.generators, name)
+            return PoissonStructure(p.generators, {**p.table, (i, j): p.entry(i, j) + g})
+        return defective
+    return defect
+
+
+def _empty_table(build):
+    """A Poisson builder whose table is empty."""
+    def defective(n):
+        return PoissonStructure(build(n).generators, {})
+    return defective
+
+
 def _add_aa_to_first_relation(build):
     """A presentation builder with a*a added to its relation 0."""
     def defective(n):
@@ -295,8 +333,7 @@ def _bump_first_overlap_row(build):
 # vanishes-on-i-plus (a bracket that does not vanish on I_plus is never built)
 # and printed-table-diff (informational).  No row reaches these yet:
 # schouten-nonzero-sl2..4, sp2-closes, sp4-closes, sp2-poisson,
-# sp2-compatible-symplectic, jacobi-linear, gl-not-compatible,
-# eigen-direct-sum, axiom-8, enveloping-ideal,
+# sp2-compatible-symplectic, eigen-direct-sum, axiom-8, enveloping-ideal,
 # table-vanishes-at-classical-point and jacobi-form-rejects-random.  The
 # classical_glie defect adds x_0 to [x_0, x_1] and subtracts it from
 # [x_1, x_0] (column N = 4), so the bracket still vanishes on the symmetric
@@ -311,6 +348,11 @@ _PLANTED = [
     ("pencil-type2", poisson, "linearized", _scale_first_pair(3),
      {"compatible", "pencil-jacobi-random", "linearization", "double-lie-identity"}),
     ("pencil-type2", poisson, "gl_bracket", _scale_first_pair(2), {"double-lie-identity"}),
+    ("pencil-type2", poisson, "linearized", _add_generator(0, 3, "a"),
+     {"compatible", "double-lie-identity", "jacobi-linear", "linearization",
+      "pencil-jacobi-random"}),
+    ("pencil-type2", poisson, "gl_bracket", _empty_table,
+     {"double-lie-identity", "gl-not-compatible"}),
     ("pencil-type1", poisson, "constant_symplectic", _scale_first_pair(2),
      {"sp4-compatible-symplectic"}),
     ("pencil-type1", rmatrix, "canonical_r", _add_entries("mat", (0, 1, 1)),
@@ -331,9 +373,18 @@ _PLANTED = [
 ]
 
 
+def _planted_ids(rows):
+    """suite-builder for each row; a later row on the same builder gets -2, -3, ..."""
+    seen, ids = {}, []
+    for suite, _, builder, *_ in rows:
+        base = f"{suite}-{builder}"
+        seen[base] = seen.get(base, 0) + 1
+        ids.append(base if seen[base] == 1 else f"{base}-{seen[base]}")
+    return ids
+
+
 @pytest.mark.parametrize(
-    "suite, module, builder, defect, failing", _PLANTED,
-    ids=[f"{row[0]}-{row[2]}" for row in _PLANTED],
+    "suite, module, builder, defect, failing", _PLANTED, ids=_planted_ids(_PLANTED),
 )
 def test_planted_defect_fails_its_checks(monkeypatch, capsys, suite, module, builder,
                                          defect, failing):
