@@ -19,7 +19,9 @@ field elements negated once.  A rule ``lw -> g`` rewrites
 ``c * prefix + lw + suffix`` into ``c * tc * (prefix + tw + suffix)`` for
 every ``(tw, tc)`` of the tail, and an S-element takes the first rule's
 coefficients from the rule and the second rule's from its tail, so rewriting
-and S-elements only multiply and add, and never negate.
+and S-elements only multiply and add, and never negate.  A tail
+coefficient equal to 1 is the one shared ``_UNIT``, so ``_reduce`` takes
+``c`` itself for that word and computes no product by one.
 
 Reduction strategy (``_reduce``): rewrite the largest reducible word first;
 within it, the leftmost occurrence of a leading word, and among leading
@@ -69,8 +71,11 @@ import itertools
 
 from .commpoly import GeneratorError
 from .freealg import FreeElement
-from .ratfunc import divide, negate, plus, times
+from .ratfunc import divide, equal, negate, plus, times
 from .scalars import ONE, Scalar
+
+#: the tail coefficient 1, shared by every tail that has one
+_UNIT = ONE.value
 
 
 class IdealCollapse(Exception):
@@ -135,10 +140,11 @@ def _reduce(work: dict, tails: dict, longest: int) -> dict:
             nw = prefix + tw + suffix
             nkey = (len(nw), nw)
             prev = work.get(nkey)
+            ctc = c if tc is _UNIT else times(c, tc)
             if prev is None:
-                work[nkey] = times(c, tc)
+                work[nkey] = ctc
             else:
-                s = plus(prev, times(c, tc))
+                s = plus(prev, ctc)
                 if s:
                     work[nkey] = s
                 else:
@@ -215,7 +221,9 @@ def complete(relations, degree_bound: int) -> NcIdeal:
                 ends[old[-1]].remove(old)
         # monic, and lw goes last in the order
         nlc = negate(out.pop(lw))
-        tails[lw] = tail = tuple((w, divide(c, nlc)) for w, c in out.items())
+        tails[lw] = tail = tuple(
+            (w, _UNIT if equal(c, nlc) else divide(c, nlc)) for w, c in out.items()
+        )
         rules[lw] = f = _rule(generators, lw, tail)
         order[lw] = next(inserted)
         starts.setdefault(lw[0], set()).add(lw)
@@ -226,7 +234,8 @@ def complete(relations, degree_bound: int) -> NcIdeal:
             for w, t in tails.items():
                 if (len(w), w) > (n, lw) and any(_contains(tw, lw) for tw, _ in t):
                     work = {(len(tw), tw): tc for tw, tc in t}
-                    tails[w] = t = tuple(_reduce(work, tails, longest).items())
+                    normal = _reduce(work, tails, longest)
+                    tails[w] = t = tuple((tw, _unit(tc)) for tw, tc in normal.items())
                     rules[w] = _rule(generators, w, t)
         else:
             top = (n, lw)
@@ -246,6 +255,11 @@ def complete(relations, degree_bound: int) -> NcIdeal:
                 for work in _overlap_elements(w, rules[w], lw, tail, degree_bound):
                     push(work)
     return NcIdeal(generators, degree_bound, quadratic_flag(relations), rules, tails)
+
+
+def _unit(c):
+    """c, or _UNIT if c equals 1."""
+    return _UNIT if equal(c, _UNIT) else c
 
 
 def _contains(word, sub):

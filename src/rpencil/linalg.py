@@ -126,14 +126,22 @@ class Mat:
         return out
 
     def kron(self, other: "Mat") -> "Mat":
+        """The Kronecker product.  Where one factor is ``ONE`` the entry is the
+        other factor itself, with no product: every matrix ``legs`` builds
+        is a Kronecker product with the identity.
+        """
         out = Mat(self.nrows * other.nrows, self.ncols * other.ncols)
         for i, row in enumerate(self.rows):
             for j, a in row.items():
+                base = j * other.ncols
                 for k, orow in enumerate(other.rows):
                     target = out.rows[i * other.nrows + k]
-                    base = j * other.ncols
-                    for l, b in orow.items():
-                        target[base + l] = a * b
+                    if a is ONE:
+                        for l, b in orow.items():
+                            target[base + l] = b
+                    else:
+                        for l, b in orow.items():
+                            target[base + l] = a if b is ONE else a * b
         return out
 
     def legs(self, n: int):

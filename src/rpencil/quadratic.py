@@ -67,10 +67,13 @@ def same_ideal(p1: QuadraticPresentation, p2: QuadraticPresentation, degree: int
     reduced, and a presentation is completed only when some relation of the
     other needs its normal form.  With identical relation sets the ideals
     are equal: the answer is True and nothing is completed, so no
-    ``IdealCollapse`` is raised.
+    ``IdealCollapse`` is raised.  Equal relation tuples give that answer
+    before any relation is hashed.
     """
     if p1.generators != p2.generators:
         raise GeneratorError("presentations over different generator sets")
+    if p1.relations == p2.relations:
+        return True
     return _relations_in(p1, p2, degree) and _relations_in(p2, p1, degree)
 
 

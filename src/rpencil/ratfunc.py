@@ -11,12 +11,14 @@ and denom's leading coefficient is positive.  The form is unique, so any
 correct gcd gives the same pair, the same string and the same hash.
 
 ``plus``, ``minus``, ``times``, ``divide`` and ``negate`` are the field's
-arithmetic, and the only code that looks at an operand's kind (exactly an
-int, a Fraction or a RatFunc).  Two constants are combined on the integer
-pairs by Henrici's method (Knuth, TAOCP vol. 2, 4.5.1), as Fraction's own
-operators are, and ``_fraction`` builds the coprime result directly; every
+arithmetic, and with ``equal`` the only code that looks at an operand's kind
+(exactly an int, a Fraction or a RatFunc).  Two constants are combined on the
+integer pairs by Henrici's method (Knuth, TAOCP vol. 2, 4.5.1), as Fraction's
+own operators are, and ``_fraction`` builds the coprime result directly; every
 other sum goes to ``_add``, and every other product to ``_mul``, or to
-``_mul_ground`` when one factor is a constant.
+``_mul_ground`` when one factor is a constant.  ``times`` tries two Fractions
+first, and ``equal`` compares two Fractions on their integer pairs, which
+the canonical forms make equal exactly when the values are.
 
 gcd(f, g) takes a shortcut when either is a single term.  Otherwise it is
 the heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC 7, 1989), which
@@ -487,6 +489,13 @@ def _product(na, da, nb, db) -> Fraction:
     return _fraction(na * nb, da * db)
 
 
+def equal(f, g) -> bool:
+    """f == g for field elements or ints."""
+    if type(f) is Fraction and type(g) is Fraction:
+        return f._numerator == g._numerator and f._denominator == g._denominator
+    return f == g
+
+
 def plus(f, g):
     """f + g for field elements or ints."""
     p = _pairs(f, g)
@@ -506,6 +515,18 @@ def minus(f, g):
 
 def times(f, g):
     """f * g for field elements or ints."""
+    if type(f) is Fraction and type(g) is Fraction:
+        # _product's steps, inline for the commonest case
+        na, da, nb, db = f._numerator, f._denominator, g._numerator, g._denominator
+        c = gcd(na, db)
+        if c > 1:
+            na //= c
+            db //= c
+        c = gcd(nb, da)
+        if c > 1:
+            nb //= c
+            da //= c
+        return _fraction(na * nb, da * db)
     p = _pairs(f, g)
     if p is not None:
         return _product(*p)

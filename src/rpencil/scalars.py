@@ -5,15 +5,15 @@ polynomials in the formal parameters q, h and lam.  A Scalar holds one
 element of the field ``ratfunc`` implements, which does all the
 arithmetic: a ``fractions.Fraction`` when the value is free of the
 parameters, so it hashes like the equal int or Fraction, and otherwise a
-canonical ``ratfunc.RatFunc``.  Two constants are combined by ``ratfunc``'s
-operations on their integer pairs, not by Fraction's operators.  The form
-is unique, so equality of Scalars is equality of representations.  Each
-operator coerces its operand (a bool or a subclass of int or Fraction to the
-equal exact value), makes one call into ``ratfunc`` and wraps the result;
-Scalar also checks for division by zero and poles, and reads and prints the
-canonical strings.  ``Scalar.value`` is the field element itself, for a hot
-loop (``groebner.complete``) that computes with ``ratfunc`` directly and
-wraps only its results.
+canonical ``ratfunc.RatFunc``.  Two constants are combined, and compared,
+by ``ratfunc``'s operations on their integer pairs, not by Fraction's
+operators.  The form is unique, so equality of Scalars is equality of
+representations.  Each operator coerces its operand (a bool or a subclass
+of int or Fraction to the equal exact value), makes one call into
+``ratfunc`` and wraps the result; Scalar also checks for division by zero
+and poles, and reads and prints the canonical strings.  ``Scalar.value`` is
+the field element itself, for a hot loop (``groebner.complete``) that
+computes with ``ratfunc`` directly and wraps only its results.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ class Scalar:
         if g is None:
             return NotImplemented
         # a Fraction never equals a RatFunc: no RatFunc here is constant
-        return self._f == g
+        return ratfunc.equal(self._f, g)
 
     def __hash__(self):
         # a RatFunc hashes as (frozenset(numer.items()), frozenset(denom.items()))

@@ -509,3 +509,37 @@ def test_complete_paths_match_reference():
         for path, line in lines.items():
             runs[path] += line in seen
     assert all(runs.values()), runs
+
+
+
+def test_unit_tail_coefficients_are_shared(monkeypatch):
+    # a tail coefficient equal to 1 is the shared one, and _reduce rewrites
+    # by it with no product
+    relations = a0q(3).specialize(DEFAULT_ASSIGNMENT).relations
+    ideal = complete(relations, 3)
+    units = [tc for t in ideal.tails.values() for _, tc in t if tc == 1]
+    assert units and all(tc is groebner._UNIT for tc in units)
+    for lw, g in ideal.rules.items():
+        assert ideal.tails[lw] == tuple((w, -c.value) for w, c in g.terms.items() if w != lw)
+
+    def products():
+        calls = []
+
+        def counted(f, g):
+            calls.append(1)
+            return ratfunc.times(f, g)
+
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "times", counted)
+            rules = complete(relations, 3).rules
+        return len(calls), list(rules.items())
+
+    shared, rules = products()
+    # with no coefficient recognized as 1, every rewrite multiplies
+    monkeypatch.setattr(groebner, "equal", lambda f, g: False)
+    unshared, unshared_rules = products()
+    assert shared < unshared
+    assert rules == unshared_rules == list(ideal.rules.items())
+    assert _completion(relations, 3, lambda r, d: complete(r, d).rules) == (
+        _completion(relations, 3, _reference_complete)
+    )

@@ -88,6 +88,33 @@ def test_legs_match_index_reference(n):
     assert last == ref_last
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_legs_take_the_entries_themselves(n):
+    # an entry of a Kronecker product with the identity is the matrix's own
+    # entry, not a product by ONE
+    a = dense([[1, 0, Q], [0, Scalar(2) / 3, 3]])
+    first, last = a.legs(n)
+    for i, row in enumerate(a.rows):
+        for j, v in row.items():
+            for k in range(n):
+                assert first.rows[i * n + k][j * n + k] is v
+                assert last.rows[k * 2 + i][k * 3 + j] is v
+
+
+def test_kron_with_ones_matches_products():
+    # ONE itself, and entries equal to 1 that are not ONE
+    a = dense([[ONE, Q, 0], [Fraction(-1, 2), 1, ONE]])
+    b = dense([[ONE, 0], [Q + 1, 1], [0, Fraction(3, 7)]])
+    assert a.rows[0][0] is ONE and a.rows[1][1] is not ONE
+    for x, y in ((a, b), (b, a), (a, a)):
+        k = x.kron(y)
+        assert k.shape == (x.nrows * y.nrows, x.ncols * y.ncols)
+        for i in range(k.nrows):
+            for j in range(k.ncols):
+                (xi, yi), (xj, yj) = divmod(i, y.nrows), divmod(j, y.ncols)
+                assert k[i, j] == x[xi, xj] * y[yi, yj]
+
+
 def test_rank_and_inverse():
     a = dense([[Q, 1], [0, 1]])
     assert len(rref(a.rows, a.ncols)[0]) == 2

@@ -390,6 +390,50 @@ def test_constant_branch_matches_fraction(x, y):
         assert d > 0 and gcd(n, d) == 1
 
 
+_small_fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
+# an int, a Fraction or a RatFunc, as ratfunc's operations take them
+_operands = st.one_of(
+    st.integers(-50, 50), _small_fractions, mixed_scalars().map(lambda s: s.value)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_fractions, _small_fractions)
+@example(Fraction(0), Fraction(0, 7))
+@example(Fraction(3, 6), Fraction(1, 2))
+@example(Fraction(-4, 6), Fraction(3, -2))
+def test_constant_equal_and_times_match_fraction(x, y):
+    assert ratfunc.equal(x, y) == (x == y)
+    assert ratfunc.equal(x, Fraction(x.numerator, x.denominator))
+    r, expected = ratfunc.times(x, y), x * y
+    assert type(r) is Fraction
+    assert (r.numerator, r.denominator) == (expected.numerator, expected.denominator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operands, _operands)
+def test_equal_and_times_on_mixed_operands(f, g):
+    assert ratfunc.equal(f, g) == (f == g)
+    s, t = Scalar(f), Scalar(g)
+    assert ratfunc.equal(s.value, t.value) == (str(s) == str(t))
+    _same(Scalar(ratfunc.times(f, g)), _field(s) * _field(t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operands, _operands)
+@example(3, Fraction(6, 2))
+@example(0, Fraction(0, 5))
+@example(Fraction(-1, 2), Fraction(2, -4))
+def test_equal_scalars_hash_equal(f, g):
+    s, t = Scalar(f), Scalar(g)
+    if s == t:
+        assert hash(s) == hash(t)
+    copy = Scalar.parse(str(s))
+    assert copy == s and s == copy and hash(copy) == hash(s)
+    if type(f) is int:
+        assert Scalar(Fraction(f)) == f and hash(Scalar(Fraction(f))) == hash(f)
+
+
 def test_constant_arithmetic_skips_fraction_operators(monkeypatch):
     relations = a0q(2).specialize(DEFAULT_ASSIGNMENT).relations
     expected = complete(relations, 3).rules
